@@ -11,7 +11,7 @@ to serial interpretation. Enable with ``SimConfig(batch=True)``,
 pecking order.
 """
 
-from repro.batch.engine import (ENV_VAR, batch_enabled, batch_stats,
+from repro.batch.engine import (batch_enabled, batch_stats,
                                 build_replay_system, clear_streams,
                                 effective_costs, get_stream,
                                 maybe_run_batched,
@@ -28,7 +28,6 @@ from repro.batch.stream import (GuestStream, build_stream,
 
 __all__ = [
     "BUDGET_SLACK",
-    "ENV_VAR",
     "STREAM_CAP",
     "GuestStream",
     "RecordingBail",

@@ -30,7 +30,6 @@ like the other tier switches).
 
 from __future__ import annotations
 
-import os
 import traceback
 from collections.abc import Callable, Iterator
 from dataclasses import replace
@@ -41,19 +40,14 @@ from repro.batch.stream import GuestStream, build_stream
 from repro.cpu.core import program_content_key
 from repro.cpu.costs import CycleCosts
 from repro.isa.program import Program
-from repro.lint.invariants import invariants_enabled
-from repro.lockstep import lockstep_enabled
 from repro.mem.nvm import NVMainMemory
 from repro.memfast import attach_memfast, finish_memfast
-from repro.obs.recorder import trace_enabled
 from repro.sim.config import SimConfig
 from repro.sim.factory import build_design
+from repro.sim.parallel import task_config as resolve_config
+from repro.sim.policy import BATCH_ENV, LEGACY_STORE_ENV, env_flag, resolve
 from repro.sim.system import System
 from repro.workloads import build_workload, verify_checks
-
-#: ``REPRO_BATCH=1`` enables batched sweep execution for every grid in
-#: this process (pool workers re-export it, like REPRO_JIT).
-ENV_VAR = "REPRO_BATCH"
 
 #: ``REPRO_STREAM_CACHE=<dir>`` shares recordings across *processes*.
 #: Since the persistent artifact store subsumed the old per-directory
@@ -62,7 +56,7 @@ ENV_VAR = "REPRO_BATCH"
 #: when set); recordings are the store's ``"stream"`` artifact class.
 #: Writes stay atomic (tmp + rename) and loads still tolerate any
 #: corruption by falling back to recording.
-CACHE_DIR_ENV = "REPRO_STREAM_CACHE"
+CACHE_DIR_ENV = LEGACY_STORE_ENV
 
 #: program content key -> raw recording ``(codes, n_total, cycles,
 #: rec_costs, final_regs, ops)``. The architectural stream is *cost-
@@ -87,15 +81,7 @@ _STREAM_STATS = {"recordings": 0, "expansions": 0, "hits": 0, "bails": 0,
 
 def batch_enabled() -> bool:
     """True when ``REPRO_BATCH`` requests batched sweeps globally."""
-    return os.environ.get(ENV_VAR, "").strip() not in ("", "0")
-
-
-def resolve_config(task) -> SimConfig:
-    """A task's effective config (base config + overrides)."""
-    config = task.config or SimConfig()
-    if task.overrides:
-        config = config.with_(**task.overrides)
-    return config
+    return env_flag(BATCH_ENV)
 
 
 def task_batch_eligible(task) -> bool:
@@ -121,13 +107,7 @@ def task_batchable(config: SimConfig) -> bool:
     so - like jit and memfast - the batch tier silently stands down when
     either is requested (per config or environment).
     """
-    if not (config.batch or batch_enabled()):
-        return False
-    if config.trace or trace_enabled():
-        return False
-    if config.check_invariants or invariants_enabled():
-        return False
-    return True
+    return resolve(config).batches
 
 
 def task_lockstep_eligible(task) -> bool:
@@ -135,11 +115,10 @@ def task_lockstep_eligible(task) -> bool:
     ``REPRO_LOCKSTEP``). Lockstep rides on the batch tier, so it
     inherits every batch eligibility rule unchanged."""
     try:
-        config = resolve_config(task)
+        policy = resolve(resolve_config(task))
     except Exception:
         return False
-    return task_batchable(config) and (config.lockstep
-                                       or lockstep_enabled())
+    return policy.batches and policy.lockstep
 
 
 def effective_costs(design: str, config: SimConfig) -> CycleCosts:
@@ -426,7 +405,7 @@ def _run_cluster(groups: list, run_slow: Callable) -> Iterator[tuple]:
         for task, config in zip(group.tasks, group.configs):
             # column instances must share the event list; a family whose
             # skeleton was evicted mid-cluster replays per instance
-            if ((config.lockstep or lockstep_enabled())
+            if (resolve(config).lockstep
                     and (not column
                          or stream.skel is column[0][2].skel)):
                 column.append((task, config, stream))
@@ -548,7 +527,6 @@ def clear_streams() -> None:
 
 __all__ = [
     "CACHE_DIR_ENV",
-    "ENV_VAR",
     "absorb_stats",
     "batch_enabled",
     "batch_stats",

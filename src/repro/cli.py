@@ -52,8 +52,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.analysis.speedup import speedup
-from repro.analysis.tables import format_table
 from repro.energy.synthetic import TRACE_FACTORIES
 from repro.sim.config import BASELINE_DESIGN, DESIGNS
 from repro.sim.factory import ALL_DESIGN_NAMES as ALL_DESIGNS
@@ -155,6 +153,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from repro.analysis.speedup import speedup
+    from repro.analysis.tables import format_table
+
     program = build_workload(args.workload, args.scale)
     rows = []
     results = {}
@@ -172,6 +173,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from repro.analysis.tables import format_table
     from repro.sim.sweep import run_grid, speedups_vs_baseline
 
     apps = args.apps or list(ALL_WORKLOADS)
@@ -229,6 +231,7 @@ def _cache_stats_line(stats: dict) -> str | None:
 def cmd_campaign(args) -> int:
     import os
 
+    from repro.analysis.tables import format_table
     from repro.batch.engine import CACHE_DIR_ENV, batch_stats
     from repro.mc import (CampaignSpec, merge_campaigns, run_campaign,
                           save_campaign, summarize_campaign, write_report)

@@ -13,11 +13,9 @@ compilation model, cache lifetime, and fallback rules.
 from repro.jit.cache import (TRACE_CAP, CompiledProgram, clear_code_cache,
                              code_cache_stats, get_compiled,
                              program_content_key)
-from repro.jit.dispatch import (ENV_VAR, JITState, attach_jit, detach_jit,
-                                jit_enabled)
+from repro.jit.dispatch import JITState, attach_jit, detach_jit, jit_enabled
 
 __all__ = [
-    "ENV_VAR",
     "TRACE_CAP",
     "CompiledProgram",
     "JITState",

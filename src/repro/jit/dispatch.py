@@ -33,16 +33,10 @@ Fidelity contract (enforced by the differential tests):
 
 from __future__ import annotations
 
-import os
-
 from repro.cpu.core import InOrderCore, _sdiv, _srem
 from repro.errors import ExecutionError
 from repro.jit.cache import TRACE_CAP, CompiledProgram, get_compiled
-
-#: Environment switch: ``REPRO_JIT=1`` enables the JIT for every run in
-#: this process (sweep pool workers re-export it, like the trace/check
-#: switches).
-ENV_VAR = "REPRO_JIT"
+from repro.sim.policy import JIT_ENV, env_flag
 
 #: Methods the compiled blocks bind directly; a wrapper on any of these
 #: means the JIT must stand down.
@@ -51,7 +45,7 @@ _INLINED_MEM_METHODS = ("load", "store", "store_masked")
 
 def jit_enabled() -> bool:
     """True when ``REPRO_JIT`` requests JIT compilation globally."""
-    return os.environ.get(ENV_VAR, "").strip() not in ("", "0")
+    return env_flag(JIT_ENV)
 
 
 class JITState:

@@ -35,18 +35,14 @@ the environment (the latter reaches parallel sweep workers too).
 
 from __future__ import annotations
 
-import os
-
 from repro.core.wl_cache import WLCache
 from repro.errors import InvariantViolation
-
-#: Environment switch; any value except "", "0" enables checking.
-ENV_VAR = "REPRO_CHECK"
+from repro.sim.policy import CHECK_ENV, env_flag
 
 
 def invariants_enabled() -> bool:
     """True when ``REPRO_CHECK`` requests invariant checking."""
-    return os.environ.get(ENV_VAR, "0") not in ("", "0")
+    return env_flag(CHECK_ENV)
 
 
 class InvariantChecker:

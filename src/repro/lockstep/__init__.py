@@ -24,16 +24,12 @@ batch tier and inherits its eligibility rules.
 
 from __future__ import annotations
 
-import os
-
-#: ``REPRO_LOCKSTEP=1`` enables lockstep replay for every batched grid
-#: in this process (pool workers re-export it, like REPRO_BATCH).
-ENV_VAR = "REPRO_LOCKSTEP"
+from repro.sim.policy import LOCKSTEP_ENV, env_flag
 
 
 def lockstep_enabled() -> bool:
     """True when ``REPRO_LOCKSTEP`` requests lockstep replay globally."""
-    return os.environ.get(ENV_VAR, "").strip() not in ("", "0")
+    return env_flag(LOCKSTEP_ENV)
 
 
-__all__ = ["ENV_VAR", "lockstep_enabled"]
+__all__ = ["lockstep_enabled"]

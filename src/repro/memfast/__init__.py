@@ -12,14 +12,13 @@ let compiled blocks bind the fast handlers and inline the load-hit tag
 check. See ``docs/memsys-fastpath.md``.
 """
 
-from repro.memfast.attach import (ENV_VAR, MemfastState, attach_design,
+from repro.memfast.attach import (MemfastState, attach_design,
                                   attach_memfast, detach_design,
                                   detach_memfast, finish_memfast,
                                   memfast_enabled)
 from repro.memfast.handlers import codegen_cache_stats
 
 __all__ = [
-    "ENV_VAR",
     "MemfastState",
     "attach_design",
     "attach_memfast",

@@ -47,8 +47,6 @@ deferred at all.
 
 from __future__ import annotations
 
-import os
-
 from repro.caches.base import CachedMemorySystem
 from repro.caches.nvcache import NVCacheWB
 from repro.caches.nvsram import NVSRAMIdeal
@@ -57,10 +55,7 @@ from repro.core.wl_cache import WLCache
 from repro.mem.setassoc import SetAssocArray
 from repro.memfast.handlers import (build_load, build_wb_stores,
                                     build_wl_stores)
-
-#: ``REPRO_MEMFAST=1`` enables the fast path for every run in this
-#: process (sweep pool workers re-export it, like REPRO_JIT).
-ENV_VAR = "REPRO_MEMFAST"
+from repro.sim.policy import MEMFAST_ENV, env_flag
 
 #: Instance attrs that mean instrumentation owns the memory methods.
 _GUARDED_METHODS = ("load", "store", "store_masked")
@@ -74,7 +69,7 @@ _MISSING = object()
 
 def memfast_enabled() -> bool:
     """True when ``REPRO_MEMFAST`` requests the fast path globally."""
-    return os.environ.get(ENV_VAR, "").strip() not in ("", "0")
+    return env_flag(MEMFAST_ENV)
 
 
 class MemfastState:

@@ -28,7 +28,6 @@ from repro.obs.metrics import (
     merge_metrics,
 )
 from repro.obs.recorder import (
-    ENV_VAR,
     TraceRecorder,
     attach_trace,
     trace_enabled,
@@ -50,7 +49,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "merge_metrics",
-    "ENV_VAR",
     "TraceRecorder",
     "attach_trace",
     "trace_enabled",

@@ -40,13 +40,9 @@ metrics dict rides home in ``RunResult.metrics``.
 
 from __future__ import annotations
 
-import os
-
 from repro.obs.events import EVENT_SCHEMA, TraceEvent
 from repro.obs.metrics import MetricsRegistry
-
-#: Environment switch; any value except "", "0" enables tracing.
-ENV_VAR = "REPRO_TRACE"
+from repro.sim.policy import TRACE_ENV, env_flag
 
 #: Histogram bucket bounds (inclusive upper edges; last bucket open).
 WB_LATENCY_BOUNDS = [64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0, 4096.0]
@@ -57,7 +53,7 @@ ENERGY_OUTAGE_BOUNDS = [250.0, 500.0, 1000.0, 2000.0, 4000.0,
 
 def trace_enabled() -> bool:
     """True when ``REPRO_TRACE`` requests event tracing."""
-    return os.environ.get(ENV_VAR, "0") not in ("", "0")
+    return env_flag(TRACE_ENV)
 
 
 class TraceRecorder:

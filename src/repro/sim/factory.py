@@ -16,13 +16,10 @@ from repro.energy.synthetic import make_trace
 from repro.energy.traces import PowerTrace
 from repro.errors import ConfigError
 from repro.isa.program import Program
-from repro.jit import attach_jit, jit_enabled
-from repro.lint.invariants import attach_invariants, invariants_enabled
 from repro.mem.memsys import NoCacheNVP
-from repro.memfast import attach_memfast, finish_memfast, memfast_enabled
-from repro.obs.recorder import attach_trace, trace_enabled
 from repro.mem.nvm import NVMainMemory
 from repro.sim.config import DESIGNS, SimConfig
+from repro.sim.policy import resolve
 from repro.sim.system import System
 
 #: Every design name :func:`build_design` accepts: the paper's five plus
@@ -101,25 +98,31 @@ def build_system(program: Program, design_name: str,
                  else make_trace(trace, config.trace_seed))
     nvm = NVMainMemory(program.initial_memory(), config.nvm)
     design = build_design(design_name, nvm, config)
-    if config.check_invariants or invariants_enabled():
+    # each opt-in tier package loads only when the policy selects it
+    policy = resolve(config)
+    if policy.check:
+        from repro.lint.invariants import attach_invariants
         attach_invariants(design)
     costs = config.costs
     if design_name == "NVCache-WB":
         costs = replace(costs, ifetch_extra=config.nvcache_ifetch_extra)
     system = System(program, design, config, trace, costs)
-    if config.trace or trace_enabled():
+    if policy.trace:
+        from repro.obs.recorder import attach_trace
         attach_trace(system)
-    use_memfast = config.memfast or memfast_enabled()
-    if use_memfast:
+    if policy.memfast:
+        from repro.memfast import attach_memfast
         # handlers go on before the JIT so compiled blocks bind them;
         # under trace/check shadowing it silently stays off
         attach_memfast(system)
-    if config.jit or jit_enabled():
+    if policy.jit:
+        from repro.jit import attach_jit
         # attached after memfast (whose handlers it cooperates with) but
         # yielding to any instrumentation wrappers: under trace/check it
         # silently stays off
         attach_jit(system.core)
-    if use_memfast:
+    if policy.memfast:
+        from repro.memfast import finish_memfast
         # the chunk-end flush wraps whichever run_chunk won: interpreter
         # or JIT dispatcher
         finish_memfast(system)

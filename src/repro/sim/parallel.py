@@ -22,30 +22,19 @@ chunks' tasks are reported the same way instead of hanging the sweep.
 from __future__ import annotations
 
 import os
+import sys
 import traceback
 from collections.abc import Callable, Iterable
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
-from repro.batch.engine import (CACHE_DIR_ENV as _STREAM_CACHE_ENV,
-                                ENV_VAR as _BATCH_ENV, absorb_stats,
-                                batch_stats, maybe_run_batched,
-                                maybe_run_chunk_batched,
-                                task_batch_eligible)
 from repro.errors import ConfigError, SweepError
-from repro.jit import ENV_VAR as _JIT_ENV
-from repro.lint.invariants import ENV_VAR as _CHECK_ENV
-from repro.lockstep import ENV_VAR as _LOCKSTEP_ENV
-from repro.memfast import ENV_VAR as _MEMFAST_ENV
-from repro.obs.recorder import ENV_VAR as _TRACE_ENV
 from repro.sim.config import SimConfig
 from repro.sim.factory import run_one, validate_design
+from repro.sim.policy import (BATCH_ENV, CHECK_ENV, JIT_ENV,
+                              LEGACY_STORE_ENV, LOCKSTEP_ENV, MEMFAST_ENV,
+                              RESULT_MEMO_ENV, STORE_ENV, TRACE_ENV,
+                              ExecutionPolicy, resolve)
 from repro.sim.results import RunResult
-from repro.store.core import ENV_VAR as _STORE_ENV
-from repro.store.core import absorb_store_stats, store_stats
-from repro.store.results import ENV_VAR as _RESULT_CACHE_ENV
-from repro.store.results import lookup_task, store_task
 from repro.workloads import build_workload, get_workload, verify_checks
 
 #: ``progress(done, total, (workload, design))`` - called in the parent
@@ -100,23 +89,62 @@ class SweepTask:
         return (self.workload, self.design, self.trace)
 
 
-def run_task(task: SweepTask) -> RunResult:
+def task_config(task) -> SimConfig:
+    """A task's effective config (base config + overrides)."""
+    config = task.config or SimConfig()
+    if task.overrides:
+        config = config.with_(**task.overrides)
+    return config
+
+
+def task_policy(task, env: ExecutionPolicy | None = None
+                ) -> ExecutionPolicy:
+    """The task's execution policy: ``env`` (default: read now) plus the
+    switches its config turns on.
+
+    A task whose overrides do not form a valid :class:`SimConfig` gets
+    no tier at all: the plain run path raises its error, attributed to
+    that task.
+    """
+    try:
+        config = task_config(task)
+    except Exception:
+        return ExecutionPolicy()
+    return (resolve() if env is None else env).with_config(config)
+
+
+def run_task(task: SweepTask,
+             policy: ExecutionPolicy | None = None) -> RunResult:
     """Execute one task in this process (worker body; also the serial path).
 
     With result memoization on (:mod:`repro.store.results`), a persisted
     result for this exact task is returned without simulating, and a
     fresh result is persisted on the way out (after verification, so the
-    entry can vouch for later ``verify=True`` lookups)."""
-    memo = lookup_task(task)
-    if memo is not None:
-        return memo
+    entry can vouch for later ``verify=True`` lookups). ``policy`` is the
+    task's resolved :func:`task_policy`, when the caller already has it.
+    """
+    if policy is None:
+        policy = task_policy(task)
+    if policy.memoizes:
+        from repro.store.results import lookup_task
+        memo = lookup_task(task)
+        if memo is not None:
+            return memo
     prog = build_workload(task.workload, task.scale)
     res = run_one(prog, task.design, task.trace, task.config,
                   **task.overrides)
     if task.verify:
         verify_checks(prog, res.final_memory)
-    store_task(task, res)
+    if policy.memoizes:
+        from repro.store.results import store_task
+        store_task(task, res)
     return res
+
+
+#: The variables shipped to pool workers, in :func:`worker_initargs`
+#: order.
+_WORKER_ENV = (CHECK_ENV, TRACE_ENV, JIT_ENV, MEMFAST_ENV, BATCH_ENV,
+               LOCKSTEP_ENV, LEGACY_STORE_ENV, STORE_ENV, RESULT_MEMO_ENV)
 
 
 def _init_worker(check_env: str | None, trace_env: str | None,
@@ -143,13 +171,9 @@ def _init_worker(check_env: str | None, trace_env: str | None,
     worker's process-global JIT code cache and guest-stream cache then
     warm once and serve all the tasks the worker executes.
     """
-    for var, value in ((_CHECK_ENV, check_env), (_TRACE_ENV, trace_env),
-                       (_JIT_ENV, jit_env), (_MEMFAST_ENV, memfast_env),
-                       (_BATCH_ENV, batch_env),
-                       (_LOCKSTEP_ENV, lockstep_env),
-                       (_STREAM_CACHE_ENV, stream_cache_env),
-                       (_STORE_ENV, store_env),
-                       (_RESULT_CACHE_ENV, result_cache_env)):
+    values = (check_env, trace_env, jit_env, memfast_env, batch_env,
+              lockstep_env, stream_cache_env, store_env, result_cache_env)
+    for var, value in zip(_WORKER_ENV, values):
         if value is None:
             os.environ.pop(var, None)
         else:
@@ -163,11 +187,16 @@ def worker_initargs() -> tuple:
     (:mod:`repro.mc.engine`), which runs the same worker body over its
     own point keying.
     """
-    return (os.environ.get(_CHECK_ENV), os.environ.get(_TRACE_ENV),
-            os.environ.get(_JIT_ENV), os.environ.get(_MEMFAST_ENV),
-            os.environ.get(_BATCH_ENV), os.environ.get(_LOCKSTEP_ENV),
-            os.environ.get(_STREAM_CACHE_ENV), os.environ.get(_STORE_ENV),
-            os.environ.get(_RESULT_CACHE_ENV))
+    return tuple(os.environ.get(var) for var in _WORKER_ENV)
+
+
+def _tier_stats() -> tuple[dict, dict]:
+    """Batch-engine and persistent-store counters; a package this
+    process never loaded has none."""
+    batch = sys.modules.get("repro.batch.engine")
+    store = sys.modules.get("repro.store.core")
+    return (batch.batch_stats() if batch else {},
+            store.store_stats() if store else {})
 
 
 def _run_chunk(chunk: list[SweepTask]) -> list[tuple]:
@@ -180,21 +209,24 @@ def _run_chunk(chunk: list[SweepTask]) -> list[tuple]:
     them back with :func:`repro.batch.engine.absorb_stats` /
     :func:`repro.store.absorb_store_stats` so sweep-wide cache
     behaviour stays observable under the pool."""
-    pre = batch_stats()
-    pre_store = store_stats()
-    records = maybe_run_chunk_batched(chunk, run_task)
+    pre, pre_store = _tier_stats()
+    env = resolve()
+    policies = [task_policy(task, env) for task in chunk]
+    records = None
+    if any(p.batches for p in policies):
+        from repro.batch.engine import maybe_run_chunk_batched
+        records = maybe_run_chunk_batched(chunk, run_task)
     if records is None:
         records = []
-        for task in chunk:
+        for task, policy in zip(chunk, policies):
             try:
-                records.append(("ok", run_task(task)))
+                records.append(("ok", run_task(task, policy)))
             except Exception as exc:  # shipped home, raised as SweepError
                 records.append(("err", type(exc).__name__, str(exc),
                                 traceback.format_exc()))
-    post = batch_stats()
+    post, post_store = _tier_stats()
     delta = {k: post[k] - pre.get(k, 0)
              for k in post if k not in ("streams", "raw_recordings")}
-    post_store = store_stats()
     delta["store"] = {k: post_store[k] - pre_store.get(k, 0)
                       for k in post_store}
     records.append(("stats", delta))
@@ -205,8 +237,12 @@ def _pop_stats(records: list[tuple]) -> list[tuple]:
     """Absorb and strip a chunk's trailing stats record, if present."""
     if records and records[-1][0] == "stats":
         delta = records[-1][1]
-        absorb_store_stats(delta.get("store", {}))
-        absorb_stats(delta)
+        if delta.get("store"):
+            from repro.store.core import absorb_store_stats
+            absorb_store_stats(delta["store"])
+        if len(delta) > 1:  # batch-engine counters beside "store"
+            from repro.batch.engine import absorb_stats
+            absorb_stats(delta)
         return records[:-1]
     return records
 
@@ -276,18 +312,24 @@ def run_tasks(tasks: list[SweepTask], jobs: int | None = None,
     """
     jobs = resolve_jobs(jobs)
     total = len(tasks)
+    env = resolve()
+    policies = [task_policy(task, env) for task in tasks]
+    batching = any(p.batches for p in policies)
     if jobs <= 1 or total < 2:
-        out = maybe_run_batched(tasks, run_task, progress)
-        if out is not None:
-            return out
+        if batching:
+            from repro.batch.engine import maybe_run_batched
+            return maybe_run_batched(tasks, run_task, progress)
         out = {}
-        for i, task in enumerate(tasks):
-            out[task.key] = run_task(task)
+        for i, (task, policy) in enumerate(zip(tasks, policies)):
+            out[task.key] = run_task(task, policy)
             if progress is not None:
                 progress(i + 1, total, task.key)
         return out
 
-    batching = any(task_batch_eligible(t) for t in tasks)
+    from concurrent.futures import (FIRST_EXCEPTION, ProcessPoolExecutor,
+                                    wait)
+    from concurrent.futures.process import BrokenProcessPool
+
     chunks = _chunked(tasks, jobs, align_batches=batching)
     by_task: dict[tuple[str, str], RunResult] = {}
     # (where, exc_name | None, msg | None, detail) records

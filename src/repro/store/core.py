@@ -44,11 +44,10 @@ import pickle
 import platform
 import sys
 
-#: Store root override / off switch (see module docs).
-ENV_VAR = "REPRO_CACHE_DIR"
-
-#: PR 9's recording-cache directory, honoured as a root alias.
-LEGACY_STREAM_ENV = "REPRO_STREAM_CACHE"
+# the store root override / off switch (see module docs), and the
+# legacy recording-cache directory, honoured as a root alias
+from repro.sim.policy import LEGACY_STORE_ENV as LEGACY_STREAM_ENV
+from repro.sim.policy import STORE_ENV as ENV_VAR
 
 #: On-disk layout version; bumping it orphans (never corrupts) old trees.
 FORMAT = 1

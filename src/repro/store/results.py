@@ -31,14 +31,10 @@ share entries).
 
 from __future__ import annotations
 
-import os
-
+from repro.sim.parallel import task_config
+from repro.sim.policy import resolve
 from repro.store.core import get_store
 from repro.store.keys import package_fingerprint
-
-#: ``REPRO_RESULT_CACHE=1`` memoizes sweep/campaign results globally
-#: (pool workers re-export it, like the tier switches).
-ENV_VAR = "REPRO_RESULT_CACHE"
 
 _CLS = "result"
 _PAYLOAD_VERSION = 1
@@ -46,26 +42,7 @@ _PAYLOAD_VERSION = 1
 
 def result_cache_enabled(config=None) -> bool:
     """True when this run opts into result memoization."""
-    if config is not None and getattr(config, "result_cache", False):
-        return True
-    return os.environ.get(ENV_VAR, "").strip() not in ("", "0")
-
-
-def _resolve(task):
-    from repro.batch.engine import resolve_config
-
-    return resolve_config(task)
-
-
-def _eligible(config) -> bool:
-    from repro.lint.invariants import invariants_enabled
-    from repro.obs.recorder import trace_enabled
-
-    if config.trace or trace_enabled():
-        return False
-    if config.check_invariants or invariants_enabled():
-        return False
-    return True
+    return resolve(config).result_memo
 
 
 def _task_key(task, config) -> tuple:
@@ -109,10 +86,10 @@ def lookup_task(task):
     if store is None:
         return None
     try:
-        config = _resolve(task)
+        config = task_config(task)
     except Exception:
         return None  # invalid overrides: the run path raises the error
-    if not (result_cache_enabled(config) and _eligible(config)):
+    if not resolve(config).memoizes:
         return None
     payload = store.load(_CLS, _task_key(task, config))
     if not isinstance(payload, dict) or "stats" not in payload:
@@ -136,10 +113,10 @@ def store_task(task, result) -> bool:
     if store is None:
         return False
     try:
-        config = _resolve(task)
+        config = task_config(task)
     except Exception:
         return False
-    if not (result_cache_enabled(config) and _eligible(config)):
+    if not resolve(config).memoizes:
         return False
     key = _task_key(task, config)
     if not task.verify and store.contains(_CLS, key):

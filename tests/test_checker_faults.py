@@ -7,7 +7,8 @@ from repro.isa.builder import ProgramBuilder
 from repro.mem.nvm import NVMainMemory
 from repro.sim.config import SimConfig
 from repro.sim.system import System
-from repro.verify.checker import check_crash_consistency, compare_states
+from repro.verify.checker import (Divergence, check_crash_consistency,
+                                  compare_states)
 from repro.verify.faults import (BrokenWLCacheNoCleanFirst,
                                  VCacheWBNoCheckpoint)
 from repro.verify.oracle import run_oracle
@@ -51,6 +52,26 @@ class TestOracle:
         report = compare_states(res, oracle)
         assert not report.ok
         assert any(d.kind == "register" for d in report.divergences)
+
+    def test_compare_states_caps_report_in_address_order(self):
+        prog = build_workload("qsort", 0.2)
+        oracle = run_oracle(prog)
+        from repro.sim.factory import run_one
+        res = run_one(prog, "WL-Cache", trace=None)
+        assert compare_states(res, oracle).ok
+        # 100 corrupted words, written out of address order
+        corrupt = sorted({(i * 7919) % len(res.final_memory)
+                          for i in range(100)}, reverse=True)
+        assert len(corrupt) == 100
+        for i in corrupt:
+            res.final_memory[i] ^= 0x5A5A5A5A
+        report = compare_states(res, oracle)
+        assert not report.ok
+        first = sorted(corrupt)[:64]
+        assert report.divergences == [
+            Divergence("memory", i * 4, oracle.memory[i],
+                       oracle.memory[i] ^ 0x5A5A5A5A) for i in first]
+        assert len(compare_states(res, oracle, max_report=3).divergences) == 3
 
 
 def clean_first_race_program():
