@@ -3,6 +3,11 @@ under the JIT with the memfast hit-path tier, under the batch
 record/replay tier, AND under the lockstep column tier - all six
 asserted bit-identical.
 
+It also trips on point sharing gone wrong: a repeated serial grid on
+the default policy must return the very same result objects without
+simulating, while the pool and tier passes must simulate every point,
+so their comparisons with the serial pass stay real.
+
 Exercises the full stack end to end in about a minute: workload build,
 every major cache design, a real power trace with outages, the crash
 consistency verifier, the process-pool engine's bit-exactness guarantee,
@@ -19,11 +24,17 @@ import os
 import sys
 import time
 
+from repro.sim.parallel import shared_result_stats
+from repro.sim.policy import ExecutionPolicy, resolve
 from repro.sim.sweep import run_grid
 
 APPS = ("sha", "qsort")
 DESIGNS = ("NVSRAM(ideal)", "VCache-WT", "WL-Cache")
 TRACE = "trace1"
+
+
+def _shared() -> int:
+    return shared_result_stats()["shared"]
 
 
 def main() -> int:
@@ -34,6 +45,20 @@ def main() -> int:
     t0 = time.perf_counter()
     serial = run_grid(APPS, DESIGNS, TRACE, jobs=1)
     t_serial = time.perf_counter() - t0
+
+    # a default-policy repeat is served from the live results; under an
+    # exported tier switch it must simulate again
+    before = _shared()
+    again = run_grid(APPS, DESIGNS, TRACE, jobs=1)
+    default = resolve() == ExecutionPolicy()
+    want = len(serial) if default else 0
+    wrong = [k for k in serial if (again[k] is serial[k]) != default]
+    if wrong or _shared() - before != want:
+        print(f"FAIL: serial repeat shared {_shared() - before} of "
+              f"{len(serial)} points (want {want}); wrong identity on "
+              f"{wrong}")
+        return 1
+    shared_before_tiers = _shared()
 
     t0 = time.perf_counter()
     parallel = run_grid(APPS, DESIGNS, TRACE, jobs=max(2, os.cpu_count() or 2))
@@ -76,6 +101,11 @@ def main() -> int:
     if serial != lockstep:
         bad = [k for k in serial if serial[k] != lockstep[k]]
         print(f"FAIL: lockstep sweep diverged from the interpreter on {bad}")
+        return 1
+    passes = (parallel, jit, fast, batched, lockstep)
+    reused = [k for res in passes for k in serial if res[k] is serial[k]]
+    if reused or _shared() != shared_before_tiers:
+        print(f"FAIL: pool/tier passes reused serial results on {reused}")
         return 1
     from repro.lockstep.scheduler import lockstep_stats
     if lockstep_stats()["columns"] == 0:

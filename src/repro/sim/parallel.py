@@ -17,6 +17,12 @@ shipped back as records and re-raised here as :class:`~repro.errors.
 SweepError` naming every failing ``(workload, design, trace)`` tuple. A
 hard worker crash (segfault, OOM-kill) breaks the pool; the in-flight
 chunks' tasks are reported the same way instead of hanging the sweep.
+
+On the serial path under the default :class:`~repro.sim.policy.
+ExecutionPolicy` (no tier, no observer, no result memo), an identical
+point is simulated at most once while its result is alive: a repeat of
+``(workload, scale, design, trace, config)`` gets the earlier
+:class:`RunResult` object back (see :func:`shared_result_stats`).
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from __future__ import annotations
 import os
 import sys
 import traceback
+import weakref
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
@@ -138,6 +145,56 @@ def run_task(task: SweepTask,
     if policy.memoizes:
         from repro.store.results import store_task
         store_task(task, res)
+    return res
+
+
+#: Live results of the serial default path by point key: an entry lasts
+#: only as long as some caller still holds the result.
+_SHARED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_SHARE_STATS = {"shared": 0, "simulated": 0}
+_DEFAULT_POLICY = ExecutionPolicy()
+
+
+def shared_result_stats() -> dict[str, int]:
+    """Point sharing on the serial default path: ``live`` results held
+    in the table, points ``shared`` (served an earlier live result) and
+    points ``simulated`` (run because no live result matched)."""
+    return {"live": len(_SHARED), **_SHARE_STATS}
+
+
+def clear_shared_results() -> None:
+    """Forget every shared result and zero the counters (test seam)."""
+    _SHARED.clear()
+    _SHARE_STATS.update(shared=0, simulated=0)
+
+
+def _point_key(task: SweepTask) -> tuple | None:
+    """The identity of a task's simulation; None when its config does not
+    resolve (such a task is never shared). The config enters by ``repr``
+    so values equal under ``==`` but not identical (``0.0``/``-0.0``,
+    ``1``/``1.0``) stay distinct points."""
+    try:
+        config = repr(task_config(task))
+    except Exception:
+        return None
+    return (task.workload, task.scale, task.design, task.trace, config)
+
+
+def _run_shared(task: SweepTask, policy: ExecutionPolicy) -> RunResult:
+    """:func:`run_task` on the serial default path, serving a repeat of a
+    live point from the earlier result (errors are never cached)."""
+    key = _point_key(task)
+    res = None if key is None else _SHARED.get(key)
+    if res is not None:
+        _SHARE_STATS["shared"] += 1
+        if task.verify:
+            verify_checks(build_workload(task.workload, task.scale),
+                          res.final_memory)
+        return res
+    _SHARE_STATS["simulated"] += 1
+    res = run_task(task, policy)
+    if key is not None:
+        _SHARED[key] = res
     return res
 
 
@@ -309,6 +366,9 @@ def run_tasks(tasks: list[SweepTask], jobs: int | None = None,
 
     Results are keyed and ordered by ``(workload, design)`` exactly as the
     serial loop would produce them, whatever order workers finish in.
+    Serial default-policy tasks may return a :class:`RunResult` object
+    shared with an earlier call (see the module docstring), so treat
+    results as read-only.
     """
     jobs = resolve_jobs(jobs)
     total = len(tasks)
@@ -321,7 +381,8 @@ def run_tasks(tasks: list[SweepTask], jobs: int | None = None,
             return maybe_run_batched(tasks, run_task, progress)
         out = {}
         for i, (task, policy) in enumerate(zip(tasks, policies)):
-            out[task.key] = run_task(task, policy)
+            run = _run_shared if policy == _DEFAULT_POLICY else run_task
+            out[task.key] = run(task, policy)
             if progress is not None:
                 progress(i + 1, total, task.key)
         return out

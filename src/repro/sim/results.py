@@ -50,7 +50,13 @@ class EnergyBreakdown:
 
 @dataclass
 class RunResult:
-    """Outcome of one program x design x trace simulation."""
+    """Outcome of one program x design x trace simulation.
+
+    Read-only by convention: a serial default-policy sweep hands the same
+    object to every caller that requests an identical point while it is
+    alive (:mod:`repro.sim.parallel`), so a mutation would leak into
+    their results.
+    """
 
     program: str
     design: str

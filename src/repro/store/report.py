@@ -5,7 +5,8 @@ through :func:`cache_report`: the store's on-disk usage per artifact
 class, this process's store event counters, and the sizes/counters of
 every in-memory process-global cache (jit code cache, memfast handler
 sources, lockstep engines, batch streams, stream expansion metadata,
-the shared decode memo, and the A009 loaded-source ledger).
+the shared decode memo, the A009 loaded-source ledger, and the serial
+sweep's shared live results).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ def cache_report(include_disk: bool = True) -> dict:
     from repro.jit import code_cache_stats
     from repro.lockstep.codegen import engine_cache_stats
     from repro.memfast.handlers import codegen_cache_stats
+    from repro.sim.parallel import shared_result_stats
 
     root = store_root()
     report: dict = {
@@ -36,6 +38,7 @@ def cache_report(include_disk: bool = True) -> dict:
             "stream_meta": stream_meta_stats(),
             "decode": decode_cache_stats(),
             "store_loads": loaded_source_stats(),
+            "sweep": shared_result_stats(),
         },
     }
     if include_disk and root is not None:

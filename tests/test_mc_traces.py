@@ -168,8 +168,14 @@ class TestRecorded:
         assert tr.power_w(375) == 0.1
         assert tr.power_w(375 + 150) == 0.4
 
-    def test_seed_rotates_phase_but_preserves_energy(self, tmp_path):
-        path = self._write(tmp_path, [0, 100, 250], [0.1, 0.4, 0.2])
+    def test_seed_rotates_phase_but_preserves_energy(self, tmp_path,
+                                                     monkeypatch):
+        # the trace name seeds the phase, so it must not carry the
+        # per-run tmp directory: seeds 1, 2, 9 give two distinct
+        # powers at t=40 for "csv:rec.csv"
+        self._write(tmp_path, [0, 100, 250], [0.1, 0.4, 0.2])
+        monkeypatch.chdir(tmp_path)
+        path = "rec.csv"
         period = 375
         base = make_trace(f"csv:{path}")
         e0 = base.energy_nj(0, 4 * period)

@@ -67,11 +67,14 @@ class TestBitExactness:
         assert serial == par
 
     def test_overrides_reach_workers(self):
-        serial = run_grid(["sha"], ("WL-Cache",), "trace1", scale=0.15,
+        # two tasks, so the pool really runs (a one-task grid stays in
+        # this process, where it could reuse the serial result)
+        serial = run_grid(APPS, ("WL-Cache",), "trace1", scale=0.15,
                           maxline=3, adaptive=False)
-        par = run_grid_parallel(["sha"], ("WL-Cache",), "trace1", scale=0.15,
+        par = run_grid_parallel(APPS, ("WL-Cache",), "trace1", scale=0.15,
                                 jobs=2, maxline=3, adaptive=False)
         assert serial == par
+        assert all(par[k] is not serial[k] for k in serial)
 
 
 class TestInvariantPropagation:

@@ -675,10 +675,11 @@ class TestCacheCaps:
         assert report["enabled"] and report["root"] == store_dir
         caches = report["process_caches"]
         for name in ("jit", "memfast", "lockstep", "batch", "stream_meta",
-                     "decode", "store_loads"):
+                     "decode", "store_loads", "sweep"):
             assert name in caches
         assert "entries" in caches["decode"]
         assert "loaded" in caches["store_loads"]
+        assert set(caches["sweep"]) == {"live", "shared", "simulated"}
         assert "disk" in report
 
 
