@@ -1,22 +1,23 @@
-"""Batched sweep benchmark: record-once/replay-many vs jit+memfast.
+"""Batched sweep benchmark: record-once/replay-many vs the serial path.
 
 Runs, per kernel, the *full sweep grid* the paper's figures are built
 from - every cache design crossed with the no-failure condition and two
-power-failure traces - in two tiers: the serial jit+memfast stack
-(``BENCH_4``/``BENCH_5``'s fast mode, one full execution per grid point)
-and the batch tier (``SimConfig(batch=True)``: record the kernel's
-architectural stream once per cost family, replay it per grid point).
-Results land in ``results/BENCH_6.json``.
+power-failure traces - in two tiers: the default serial path (the plain
+interpreter, one full execution per grid point) and the batch tier
+(``SimConfig(batch=True)``: record the kernel's architectural stream
+once per cost family, replay it per grid point). Results land in
+``results/BENCH_6.json``.
 
 Methodology: one warm-up pass per tier first whose RunResults are
 asserted *bit-identical* grid-point-by-grid-point (the batch tier's
 correctness contract, checked here before anything is timed); then
 ``REPS`` timed reps with the tiers interleaved, taking the best per
 tier. Each rep measures the **cold sweep**: both tiers' process-global
-caches (compiled jit modules, recorded streams/skeletons) are dropped
-before every timed pass, so the measured quantity is what a user pays
-for ``run_grid`` in a fresh process - compilation and recording
-included, exactly the costs each tier trades against the other. Timing
+caches (compiled record modules, recorded streams/skeletons, the serial
+path's shared live results) are dropped before every timed pass, so the
+measured quantity is what a user pays for ``run_grid`` in a fresh
+process - compilation and recording included, exactly the costs the
+batch tier trades against plain interpretation. Timing
 runs serially (``jobs=1``); the pool composes with batching but would
 fold scheduling noise into a throughput comparison.
 
@@ -45,6 +46,7 @@ from bench_common import SENSITIVITY_APPS, bench_apps
 from repro.batch.engine import clear_streams
 from repro.jit.cache import clear_code_cache
 from repro.sim.config import DESIGNS, SimConfig
+from repro.sim.parallel import clear_shared_results
 from repro.sim.sweep import bench_scale, run_grid
 from repro.workloads import build_workload
 
@@ -53,17 +55,19 @@ GATE = 2.0
 CONDITIONS = (None, "trace1", "trace2")
 
 TIERS = (
-    ("jit", SimConfig(jit=True, memfast=True)),
-    ("batch", SimConfig(jit=True, memfast=True, batch=True)),
+    ("serial", SimConfig()),
+    ("batch", SimConfig(batch=True)),
 )
 
 
 def _clear_tier_caches(app: str, scale: float) -> None:
     """Drop every process-global artifact either tier could reuse, so a
-    timed pass pays its tier's real one-time costs (jit: module and
-    suffix compiles; batch: recording + stream expansion)."""
+    timed pass pays its tier's real one-time costs (serial: every point
+    simulated, none served from an earlier live result; batch: record
+    module compile, recording and stream expansion)."""
     clear_code_cache()
     clear_streams()
+    clear_shared_results()
     # the per-program compile memo lives on the (cached) Program object
     build_workload(app, scale).meta.pop("_jit_compiled", None)
 
@@ -82,8 +86,9 @@ def time_tiers(app: str, scale: float) -> dict[str, float]:
     for name, cfg in TIERS:
         _clear_tier_caches(app, scale)
         warm[name] = _sweep(app, scale, cfg)
-    bad = [k for k in warm["jit"] if warm["jit"][k] != warm["batch"][k]]
-    assert not bad, f"{app}: batch diverged from jit+memfast on {bad}"
+    bad = [k for k in warm["serial"]
+           if warm["serial"][k] != warm["batch"][k]]
+    assert not bad, f"{app}: batch diverged from the serial path on {bad}"
     best = {name: math.inf for name, _ in TIERS}
     for _ in range(REPS):
         for name, cfg in TIERS:
@@ -104,14 +109,14 @@ def main() -> int:
     ratios = []
     for app in bench_apps(default=SENSITIVITY_APPS):
         best = time_tiers(app, scale)
-        ratio = best["jit"] / best["batch"]
+        ratio = best["serial"] / best["batch"]
         ratios.append(ratio)
         kernels[app] = {
-            "jit_s": round(best["jit"], 6),
+            "serial_s": round(best["serial"], 6),
             "batch_s": round(best["batch"], 6),
             "speedup": round(ratio, 3),
         }
-        print(f"{app:14s} jit+memfast {best['jit'] * 1e3:8.1f} ms -> "
+        print(f"{app:14s} serial {best['serial'] * 1e3:8.1f} ms -> "
               f"batch {best['batch'] * 1e3:8.1f} ms  x{ratio:.2f}")
 
     g = math.exp(sum(map(math.log, ratios)) / len(ratios))
@@ -129,7 +134,7 @@ def main() -> int:
     with open(out_json, "w") as f:
         json.dump(report, f, indent=2, sort_keys=True)
         f.write("\n")
-    print(f"gmean sweep speedup x{g:.2f} over jit+memfast "
+    print(f"gmean sweep speedup x{g:.2f} over the serial path "
           f"({len(kernels)} kernels); wrote {out_json}")
 
     if os.environ.get("REPRO_BATCH_GATE", "").strip() not in ("", "0"):

@@ -83,9 +83,8 @@ SENS_MAXLINES = (4, 6, 8)
 SENS_DQ = (8, 12)
 
 TIERS = (
-    ("batch", SimConfig(jit=True, memfast=True, batch=True)),
-    ("lockstep", SimConfig(jit=True, memfast=True, batch=True,
-                           lockstep=True)),
+    ("batch", SimConfig(memfast=True, batch=True)),
+    ("lockstep", SimConfig(memfast=True, batch=True, lockstep=True)),
 )
 
 

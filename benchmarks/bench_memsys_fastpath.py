@@ -1,18 +1,15 @@
-"""Memory-hierarchy fast-path benchmark: JIT+memfast vs JIT vs interpreter.
+"""Memory-hierarchy fast-path benchmark: memfast vs the interpreter.
 
 Runs the fig04 (no-power-failure) suite single-threaded on WL-Cache in
-three modes per kernel - seed interpreter, basic-block/trace JIT
-(``BENCH_4``'s fast mode), and JIT with the memfast hit-path tier - and
-reports the *additional* speedup the fast path buys on top of the JIT,
-plus the combined end-to-end number against the interpreter so the bench
-trajectory has a cross-PR baseline. Results land in
-``results/BENCH_5.json``.
+two modes per kernel - the plain interpreter and the interpreter with
+the memfast hit-path tier - and reports the speedup the fast path buys.
+Results land in ``results/BENCH_5.json``.
 
-Methodology: one full warm-up run per mode first (so JIT/memfast
-compilation, the workload build, and the decode cache are all excluded
-from timing) whose RunResults are also asserted *bit-identical* across
-the three modes; then ``REPS`` timed runs with the modes *interleaved*
-(interp/jit/fast, repeated) taking the best of each. Timing covers
+Methodology: one full warm-up run per mode first (so handler codegen,
+the workload build, and the decode cache are all excluded from timing)
+whose RunResults are also asserted *bit-identical* across the modes;
+then ``REPS`` timed runs with the modes *interleaved* (interp/fast,
+repeated) taking the best of each. Timing covers
 ``System.run()`` only - system construction is hoisted out so the
 measured quantity is guest execution throughput, not setup.
 
@@ -23,8 +20,8 @@ so they get their own gate.
 
 Environment: ``REPRO_BENCH_SCALE`` scales the workloads,
 ``REPRO_BENCH_APPS`` selects a subset, ``REPRO_MEMFAST_GATE`` (default
-off) makes the script exit non-zero when the gmean additional speedup
-is below 1.3x or the store-heavy gmean is below 1.4x.
+off) makes the script exit non-zero when the gmean speedup is below
+1.3x or the store-heavy gmean is below 1.4x.
 
 Usage::
 
@@ -52,8 +49,7 @@ STORE_HEAVY = ("qsort", "rijndael_d", "rijndael_e")
 
 MODES = (
     ("interp", SimConfig()),
-    ("jit", SimConfig(jit=True)),
-    ("fast", SimConfig(jit=True, memfast=True)),
+    ("fast", SimConfig(memfast=True)),
 )
 
 
@@ -61,15 +57,13 @@ def time_modes(prog) -> tuple[dict[str, float], int]:
     """Best ``System.run()`` wall time per mode, plus retired instructions.
 
     The warm-up results double as the bench's own bit-identity check:
-    all three modes must produce equal RunResults before anything is
-    timed.
+    both modes must produce equal RunResults before anything is timed.
     """
     warm = {}
     for name, cfg in MODES:
         warm[name] = build_system(prog, DESIGN, None, cfg).run()
-    for name in ("jit", "fast"):
-        assert warm[name] == warm["interp"], \
-            f"{prog.name}: {name} RunResult diverged from the interpreter"
+    assert warm["fast"] == warm["interp"], \
+        f"{prog.name}: memfast RunResult diverged from the interpreter"
     best = {name: math.inf for name, _ in MODES}
     for _ in range(REPS):
         for name, cfg in MODES:
@@ -88,35 +82,28 @@ def main() -> int:
     kernels = {}
     ratios = []
     heavy_ratios = []
-    combined = []
     for app in bench_apps():
         prog = build_workload(app, bench_scale())
         best, instret = time_modes(prog)
-        ratio = best["jit"] / best["fast"]
-        end_to_end = best["interp"] / best["fast"]
+        ratio = best["interp"] / best["fast"]
         ratios.append(ratio)
-        combined.append(end_to_end)
         if app in STORE_HEAVY:
             heavy_ratios.append(ratio)
         kernels[app] = {
             "instret": instret,
             "interp_s": round(best["interp"], 6),
-            "jit_s": round(best["jit"], 6),
             "fast_s": round(best["fast"], 6),
             "fast_ips": round(instret / best["fast"]),
-            "speedup_vs_jit": round(ratio, 3),
-            "speedup_vs_interp": round(end_to_end, 3),
+            "speedup_vs_interp": round(ratio, 3),
         }
-        print(f"{app:14s} jit {best['jit'] * 1e3:7.1f} ms -> "
-              f"fast {best['fast'] * 1e3:7.1f} ms  x{ratio:.2f}"
-              f"  (x{end_to_end:.2f} vs interp)")
+        print(f"{app:14s} interp {best['interp'] * 1e3:7.1f} ms -> "
+              f"fast {best['fast'] * 1e3:7.1f} ms  x{ratio:.2f}")
 
     def gmean(xs):
         return math.exp(sum(map(math.log, xs)) / len(xs))
 
     g = gmean(ratios)
     g_heavy = gmean(heavy_ratios) if heavy_ratios else None
-    g_combined = gmean(combined)
     report = {
         "bench": "memsys_fastpath",
         "design": DESIGN,
@@ -124,19 +111,18 @@ def main() -> int:
         "scale": bench_scale(),
         "reps": REPS,
         "store_heavy": list(STORE_HEAVY),
-        "gmean_speedup_vs_jit": round(g, 3),
+        "gmean_speedup_vs_interp": round(g, 3),
         "gmean_speedup_store_heavy": (round(g_heavy, 3)
                                       if g_heavy is not None else None),
-        "gmean_speedup_vs_interp": round(g_combined, 3),
         "kernels": kernels,
     }
     with open(out_json, "w") as f:
         json.dump(report, f, indent=2, sort_keys=True)
         f.write("\n")
-    heavy_txt = (f"store-heavy x{g_heavy:.2f}, "
+    heavy_txt = (f", store-heavy x{g_heavy:.2f}"
                  if g_heavy is not None else "")
-    print(f"gmean x{g:.2f} vs JIT ({len(kernels)} kernels), {heavy_txt}"
-          f"combined x{g_combined:.2f} vs interpreter; wrote {out_json}")
+    print(f"gmean x{g:.2f} vs the interpreter ({len(kernels)} kernels"
+          f"{heavy_txt}); wrote {out_json}")
 
     if os.environ.get("REPRO_MEMFAST_GATE"):
         if g < GATE:

@@ -3,7 +3,7 @@
 Measures what the store is for - a *new process* (a campaign shard, a
 re-run figure bench, a CI job) skipping codegen and simulation it has
 already paid for. Each measurement is a child interpreter that runs the
-same jit+memfast sweep grid with result memoization on:
+same memfast sweep grid with result memoization on:
 
 * **cold** - every rep gets a fresh, empty store root: the child
   renders and compiles every source and simulates every grid point.
@@ -73,7 +73,7 @@ def child(out_path: str) -> int:
     from repro.sim.sweep import run_grid
     from repro.store import store_stats
 
-    cfg = SimConfig(jit=True, memfast=True, result_cache=True)
+    cfg = SimConfig(memfast=True, result_cache=True)
     scale = BASE_SCALE * bench_scale()
     t0 = time.perf_counter()
     grid = run_grid(APPS, DESIGNS, TRACE, scale=scale, jobs=1, config=cfg)
@@ -127,7 +127,6 @@ def assert_warm_is_warm(rep: dict, tag: str) -> None:
     problems = []
     for label, n in (("jit compiles", jit["compiles"]),
                      ("jit suffix compiles", jit["suffix_compiles"]),
-                     ("jit trace compiles", jit["trace_compiles"]),
                      ("memfast renders", mf["renders"])):
         if n != 0:
             problems.append(f"{label}={n}")

@@ -2,9 +2,9 @@
 
 The repository commits each performance benchmark's report
 (``results/BENCH_*.json``) as the baseline for its headline *speedup
-ratio* - the jit's gmean over the interpreter (BENCH_4), memfast's gmean
-over the jit (BENCH_5), the batch tier's gmean sweep speedup over
-jit+memfast (BENCH_6). CI re-runs the benchmarks at smoke scale and this
+ratio* - memfast's gmean over the interpreter (BENCH_5), the batch
+tier's gmean sweep speedup over the default serial path (BENCH_6), and
+so on. CI re-runs the benchmarks at smoke scale and this
 script compares the fresh headline against the committed one, bench by
 bench:
 
@@ -15,7 +15,7 @@ machine: a shared runner is slower than the workstation that produced
 the baseline in both numerator and denominator. They still move with
 scale and scheduler noise, so the default tolerance is deliberately
 loose - the gate exists to catch a tier collapsing (a refactor that
-quietly disables the jit, a replay path that stops engaging), not to
+quietly disables the fast path, a replay path that stops engaging), not to
 police single-digit percentages. Tighten ``REPRO_BENCH_TOL`` locally
 for real perf work at full scale.
 
@@ -40,9 +40,8 @@ import sys
 
 #: bench file stem -> (headline key, short description)
 HEADLINES = {
-    "BENCH_4": ("gmean_speedup", "jit vs interpreter"),
-    "BENCH_5": ("gmean_speedup_vs_jit", "memfast vs jit"),
-    "BENCH_6": ("gmean_sweep_speedup", "batch sweep vs jit+memfast"),
+    "BENCH_5": ("gmean_speedup_vs_interp", "memfast vs interpreter"),
+    "BENCH_6": ("gmean_sweep_speedup", "batch sweep vs serial path"),
     "BENCH_9": ("gmean_sweep_speedup", "lockstep columns vs batch replay"),
     "BENCH_10": ("warmstart_speedup", "warm store vs cold process"),
 }

@@ -4,14 +4,14 @@ zero codegen and simulates nothing it has a memo for.
 Runs the same work twice, in two child interpreters sharing one store
 root:
 
-* a jit+memfast sweep with result memoization on (exercises the
+* a memfast sweep with result memoization on (exercises the
   ``src`` and ``result`` artifact classes), and
 * a batch+lockstep sweep (exercises ``stream`` recordings, ``skel``
   skeletons, and lockstep engine sources).
 
-The second child must report **zero** jit compiles, zero memfast
-handler renders, zero lockstep engine renders, zero recordings, zero
-skeleton builds, an all-hit result memo, a clean A009 audit over its
+The second child must report **zero** record-module compiles, zero
+memfast handler renders, zero lockstep engine renders, zero recordings,
+zero skeleton builds, an all-hit result memo, a clean A009 audit over its
 store-served sources, and results identical to the first child's. Any
 violation exits non-zero with the offending counters - this is the CI
 tripwire for "the store silently stopped working" (which the perf gate
@@ -55,11 +55,10 @@ def child(out_path: str) -> int:
                              "final_regs": list(r.final_regs)}
                 for (w, d), r in grid.items()}
 
-    memo_cfg = SimConfig(jit=True, memfast=True, result_cache=True)
+    memo_cfg = SimConfig(memfast=True, result_cache=True)
     memo = run_grid(APPS, MEMO_DESIGNS, TRACE, scale=SCALE, jobs=1,
                     config=memo_cfg)
-    replay_cfg = SimConfig(jit=True, memfast=True, batch=True,
-                           lockstep=True)
+    replay_cfg = SimConfig(memfast=True, batch=True, lockstep=True)
     replay = run_grid(APPS, REPLAY_DESIGNS, TRACE, scale=SCALE, jobs=1,
                       config=replay_cfg)
     report = {
@@ -122,7 +121,6 @@ def main() -> int:
     expect_zero("warm jit compiles", second["jit"]["compiles"])
     expect_zero("warm jit suffix compiles",
                 second["jit"]["suffix_compiles"])
-    expect_zero("warm jit trace compiles", second["jit"]["trace_compiles"])
     expect_zero("warm memfast renders", second["memfast"]["renders"])
     expect_zero("warm lockstep renders", second["lockstep"]["renders"])
     expect_zero("warm recordings", second["batch"]["recordings"])

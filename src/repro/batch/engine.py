@@ -5,8 +5,8 @@ machinery. Given a list of sweep tasks it:
 
 1. resolves each task's effective :class:`SimConfig` and checks
    *eligibility* - batching yields to the trace recorder and the
-   invariant checker exactly like the jit/memfast tiers (the pecking
-   order is recorder/checker > batch > jit+memfast);
+   invariant checker exactly like the memfast tier (the pecking order
+   is recorder/checker > batch > memfast);
 2. groups eligible tasks by ``(workload, scale, effective cost model)``
    - the *design family*: ``NVCache-WB`` folds ``nvcache_ifetch_extra``
    into its costs, so it records separately from the SRAM-cost designs;
@@ -20,8 +20,8 @@ machinery. Given a list of sweep tasks it:
    adaptation all happen inside the replay, bit-identically;
 5. bails any task the stream model cannot serve - instrumentation
    attached, a guest fault or runaway kernel during recording - to the
-   caller-supplied slow path (the existing jit+memfast tier), per
-   instance, preserving exact error behaviour.
+   caller-supplied slow path (the interpreter, with memfast when
+   selected), per instance, preserving exact error behaviour.
 
 Enable with ``SimConfig(batch=True)``, ``--batch`` on the CLI, or
 ``REPRO_BATCH=1`` in the environment (sweep pool workers re-export it,
@@ -104,7 +104,7 @@ def task_batchable(config: SimConfig) -> bool:
 
     The trace recorder and the invariant checker must see every memory
     call and every chunk; a replayed stream would bypass them entirely,
-    so - like jit and memfast - the batch tier silently stands down when
+    so - like memfast - the batch tier silently stands down when
     either is requested (per config or environment).
     """
     return resolve(config).batches
@@ -253,12 +253,12 @@ def build_replay_system(program: Program, task, config: SimConfig,
                         stream: GuestStream) -> System:
     """A ready-to-run System whose core replays ``stream``.
 
-    Mirrors :func:`repro.sim.factory.build_system` minus the tiers the
-    batch engine supersedes (jit) or refuses to coexist with (trace
-    recorder, invariant checker - :func:`plan` never routes such tasks
-    here). The memfast tier *is* attached: each replay instance binds
-    its own design's fast hit handlers (the per-instance fast-path
-    slots), and silently stays off for ineligible designs.
+    Mirrors :func:`repro.sim.factory.build_system` minus the observers
+    the batch engine refuses to coexist with (trace recorder, invariant
+    checker - :func:`plan` never routes such tasks here). The memfast
+    tier *is* attached: each replay instance binds its own design's fast
+    hit handlers (the per-instance fast-path slots), and silently stays
+    off for ineligible designs.
     """
     from repro.energy.synthetic import make_trace
 
@@ -302,7 +302,7 @@ def iter_outcomes(tasks, run_slow: Callable) -> Iterator[tuple]:
 
     ``run_slow`` is the caller's single-task path (``run_task``); bailed
     and ineligible tasks go through it so they finish on whatever tier
-    the environment selects (jit+memfast under the usual switches).
+    the environment selects (memfast under the usual switches).
     Outcomes are yielded unit-by-unit in first-appearance order, which
     interleaves groups sharing a workload; callers needing task order
     re-index by task.

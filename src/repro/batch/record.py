@@ -25,10 +25,11 @@ the replay tier's prefix-sum arrays need - I-cache misses and memory
 latencies are per-instance dynamics added back at replay time.
 
 Anything the stream model cannot represent raises
-:class:`RecordingBail` and the group falls back to the jit+memfast tier
-per instance: a guest fault (the slow path must reproduce the exact
-error state), a runaway kernel that exhausts the group's instruction
-budget without halting, or a stream that would exceed the memory cap.
+:class:`RecordingBail` and the group falls back to the per-instance slow
+path (the interpreter, with memfast when selected): a guest fault (the
+slow path must reproduce the exact error state), a runaway kernel that
+exhausts the group's instruction budget without halting, or a stream
+that would exceed the memory cap.
 """
 
 from __future__ import annotations
@@ -130,17 +131,17 @@ def record_run(program: Program, costs: CycleCosts,
     stream-cap overflow.
     """
     rcosts = recording_costs(costs)
-    compiled = get_compiled(program, rcosts, record=True)
+    compiled = get_compiled(program, rcosts)
     mem = RecordingMemsys(program)
     codes: list[int] = []
-    bind_args = (mem.load, mem.store, mem.store_masked, set(),
-                 _sdiv, _srem, ExecutionError, None, codes)
+    bind_args = (mem.load, mem.store, mem.store_masked, _sdiv, _srem,
+                 ExecutionError, codes)
     table = compiled.bind(bind_args)
     suffix_entry = compiled.suffix_entry
     nprog = compiled.n
 
     regs = [0] * (ARCH_REGS + 1)
-    st = [0, -1, 0, 0, 0, 0, 0, 0, 0]
+    st = [0, 0, 0]  # cycle, retired by the last block, halted
     pc = 0
     n = 0
     stop = budget + BUDGET_SLACK
@@ -156,8 +157,8 @@ def record_run(program: Program, costs: CycleCosts,
             if entry is None:  # indirect jalr into a non-leader pc
                 entry = table[pc] = suffix_entry(pc, bind_args)
             pc = entry[0](regs, st)
-            n += st[7]
-            if st[8]:
+            n += st[1]
+            if st[2]:
                 break
             if n >= stop:
                 raise RecordingBail(

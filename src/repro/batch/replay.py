@@ -51,10 +51,6 @@ from repro.isa.program import Program
 class ReplayCore:
     """Drop-in ``System`` core replaying a shared :class:`GuestStream`."""
 
-    #: pecking-order marker: attach_jit refuses replay cores (the stream
-    #: already encodes execution; there is nothing left to compile)
-    _replay = True
-
     def __init__(self, program: Program, memsys, costs: CycleCosts,
                  stream: GuestStream):
         self.program = program

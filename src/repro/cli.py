@@ -14,7 +14,7 @@ Commands:
   (waived findings never gate; ``--errors-only`` stops warnings from
   gating too).
 * ``audit`` - statically audit the *generated* Python from the
-  jit/memfast/batch/lockstep compilers against their structural
+  record/memfast/batch/lockstep compilers against their structural
   contracts (A001-A009, including the persistent-store load contract).
   Exit code 0 when every compiled family verifies, 2 on any contract
   violation.
@@ -74,13 +74,9 @@ def _add_sim_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--capacitor-uf", type=float, default=None,
                    help="energy buffer size in microfarads")
     p.add_argument("--seed", type=int, default=None, help="trace seed")
-    p.add_argument("--jit", action="store_true",
-                   help="compile guest basic blocks to specialized Python "
-                        "(bit-identical results, faster simulation)")
     p.add_argument("--memfast", action="store_true",
                    help="enable the memory-hierarchy fast path "
-                        "(specialized hit handlers, bit-identical results; "
-                        "composes with --jit)")
+                        "(specialized hit handlers, bit-identical results)")
     p.add_argument("--batch", action="store_true",
                    help="batch sweep points sharing a kernel: record the "
                         "execution once, replay it per design "
@@ -109,8 +105,6 @@ def _overrides(args) -> dict:
         out["capacitance_f"] = args.capacitor_uf * 1e-6
     if args.seed is not None:
         out["trace_seed"] = args.seed
-    if args.jit:
-        out["jit"] = True
     if args.memfast:
         out["memfast"] = True
     if getattr(args, "batch", False):
@@ -259,7 +253,7 @@ def cmd_campaign(args) -> int:
                 print(f"{line} (summed over shards)")
     else:
         overrides = {}
-        for flag in ("jit", "memfast", "batch", "lockstep"):
+        for flag in ("memfast", "batch", "lockstep"):
             if getattr(args, flag):
                 overrides[flag] = True
         if overrides.get("lockstep"):
@@ -568,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.set_defaults(func=cmd_lint)
 
     p_audit = sub.add_parser(
-        "audit", help="statically audit the generated jit/memfast/batch "
+        "audit", help="statically audit the generated record/memfast/batch "
                       "Python against its structural contracts")
     p_audit.add_argument("--apps", nargs="+", default=None,
                          choices=ALL_WORKLOADS,
@@ -631,8 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "else serial)")
     p_mc.add_argument("--scale", type=float, default=1.0,
                       help="workload size multiplier")
-    p_mc.add_argument("--jit", action="store_true",
-                      help=argparse.SUPPRESS)
     p_mc.add_argument("--memfast", action="store_true",
                       help=argparse.SUPPRESS)
     p_mc.add_argument("--batch", action="store_true",

@@ -1,29 +1,20 @@
-"""Basic-block + trace JIT for the guest interpreter.
+"""Record-mode guest codegen for the batch recorder.
 
 Compiles each :class:`~repro.isa.program.Program` into specialized Python
-functions (generated source + ``exec``) at two granularities - one
-function per basic block, plus superblock *traces* for budget-rich chunks
-- and installs a two-tier dispatch ``run_chunk`` on the core, with a
-process-global code cache shared across every sweep point that runs the
-same kernel. Enable with ``SimConfig(jit=True)``, ``--jit`` on the CLI,
-or ``REPRO_JIT=1`` in the environment. See ``docs/jit.md`` for the
-compilation model, cache lifetime, and fallback rules.
+functions (generated source + ``exec``), one per basic block, whose exits
+append the block's exit code to a list. :func:`repro.batch.record.
+record_run` runs a kernel once on this code to capture its guest stream;
+the compiled modules live in a process-global cache shared by every
+recording of the same kernel and cost model. See ``docs/batch.md`` for
+the code shape and the cache lifetime.
 """
 
-from repro.jit.cache import (TRACE_CAP, CompiledProgram, clear_code_cache,
-                             code_cache_stats, get_compiled,
-                             program_content_key)
-from repro.jit.dispatch import JITState, attach_jit, detach_jit, jit_enabled
+from repro.jit.cache import (CompiledProgram, clear_code_cache,
+                             code_cache_stats, get_compiled)
 
 __all__ = [
-    "TRACE_CAP",
     "CompiledProgram",
-    "JITState",
-    "attach_jit",
     "clear_code_cache",
     "code_cache_stats",
-    "detach_jit",
     "get_compiled",
-    "jit_enabled",
-    "program_content_key",
 ]

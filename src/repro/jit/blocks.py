@@ -1,7 +1,10 @@
-"""Basic-block code generation: guest blocks -> specialized Python source.
+"""Record-mode code generation: guest blocks -> specialized Python source.
 
-Each basic block of a :class:`~repro.isa.program.Program` (partitioned by
-:func:`repro.lint.cfg.build_cfg`) is compiled into one Python function
+The batch engine (:mod:`repro.batch`) executes each kernel once per cost
+model to capture its guest stream. That recording pass runs on code
+generated here: each basic block of a :class:`~repro.isa.program.Program`
+(partitioned by :func:`repro.lint.cfg.build_cfg`) is compiled into one
+Python function
 
     def _bN(regs, st, ...bound helpers...): -> next pc
 
@@ -17,62 +20,43 @@ specialized against the block's instructions and the frozen
   count is observable - a memory-system call's ``now`` argument or the
   block's exit - so the threaded cycle values are bit-identical to the
   interpreter's.
-* I-cache accounting is hoisted from per-instruction to once per 16-
-  instruction line run: only the block's first line needs the runtime
-  ``ic_last`` comparison, subsequent line crossings are unconditional.
-* Loads/stores/branches call the bound memory-system methods exactly as
-  the interpreter does (same arguments, same ``now``), with the reported
+* Loads/stores call the bound memory-system methods exactly as the
+  interpreter does (same arguments, same ``now``), with the reported
   latency threaded back into ``cycle`` mid-block.
+* Every exit appends an *exit code* ``2 * start + taken`` to the bound
+  list ``_q`` (``taken`` is 1 only for the taken arm of a conditional
+  branch). Replaying the code sequence reconstructs the exact
+  retired-instruction stream of a run - which instructions, in which
+  order, with which static costs - without re-executing any arithmetic.
 
-The mutable core state crossing the block boundary travels in a 9-slot
-list ``st``: ``[cycle, ic_last, ic_fetches, ic_misses, n_loads, n_stores,
-n_branches, retired, halted]``. Slot 7 carries the number of instructions
-the call retired (every exit writes its compile-time constant), slot 8 is
-set to 1 by exits that parked on a HALT.
+The state crossing the block boundary travels in a 3-slot list ``st``:
+``[cycle, retired, halted]``. Slot 1 carries the number of instructions
+the call retired (every exit writes its compile-time constant), slot 2
+is set to 1 by exits that parked on a HALT.
 
-Two granularities are generated from the same emitter:
+Recordings run against a latency-free recording memory system, so the
+threaded cycle counts are the pure static costs (``ifetch_extra``
+included) the batch engine's prefix-sum arrays are built from. The code
+keeps no I-cache or per-class counters: I-cache misses are per-instance
+dynamics the replay adds back, and :mod:`repro.batch.stream` derives the
+line crossings and counts from the exit codes.
 
-* **Basic blocks** (:func:`compile_blocks_source`): one function per CFG
-  block; every exit retires the full block, so the dispatcher can bound
-  retirement exactly - the tier used when the chunk budget is tight.
-* **Traces** (:func:`compile_trace_source`): superblocks rooted at any
-  pc that keep going *through* unconditional jumps, calls (static link
-  values), and conditional-branch fall-throughs; taken branches become
-  side exits that flush a snapshot of the threaded state and return the
-  target. A trace ends at a JALR (dynamic target), a HALT, a pc already
-  in the trace (loop back-edge), or the length cap. Register values stay
-  in Python locals across everything a trace inlines, which is where the
-  speedup over block-at-a-time dispatch comes from: one dispatch per
-  loop iteration instead of one per basic block.
-
-Fidelity notes (the differential tests rely on these):
+Fidelity notes (the record differential tests rely on these):
 
 * Fault paths reproduce the interpreter's :class:`ExecutionError` messages
-  exactly and leave the core in the interpreter's error state: registers
-  written so far and the ``st`` counters are flushed, ``pc``/``cycle``/
-  ``instret`` are not advanced.
+  exactly; registers written so far and the ``st`` slots are flushed,
+  and no exit code is appended.
 * Writes to the x0 sink slot (``regs[32]``) are elided entirely - the
-  interpreter parks dead results there, the JIT never materializes them.
-  Architectural state (``regs[:32]``) is bit-identical.
+  interpreter parks dead results there, generated code never
+  materializes them. Architectural state (``regs[:32]``) is
+  bit-identical.
 * ``HALT`` returns its own index (the interpreter stays parked on the
   HALT) and is counted as a retired instruction, like the interpreter.
-
-A third emission mode, **record** (used by :mod:`repro.batch`), augments
-the block functions with a bound list ``_q`` to which every exit appends
-an *exit code* ``2 * start + taken`` (``taken`` is 1 only for the taken
-arm of a conditional branch). Replaying the code sequence reconstructs
-the exact retired-instruction stream of a run - which instructions, in
-which order, with which static costs - without re-executing any
-arithmetic. Record mode is compiled against ``ifetch_miss=0`` costs and
-a latency-free recording memory system, so the threaded cycle counts are
-the pure static costs the batch engine's prefix-sum arrays are built
-from; it never composes with memfast (the recording memsys is not a
-cache).
 """
 
 from __future__ import annotations
 
-from repro.cpu.core import _ILINE_SHIFT, _SINK, _base_cost_table
+from repro.cpu.core import _SINK, _base_cost_table
 from repro.cpu.costs import CycleCosts
 from repro.isa import opcodes as oc
 from repro.isa.program import Program
@@ -138,24 +122,13 @@ def _io(op: int, a: int, b: int, c: int):
 class _BlockEmitter:
     """Emits the Python source of one basic block ``[start, end)``."""
 
-    def __init__(self, program: Program, costs: CycleCosts,
-                 memfast: str | bool = False, record: bool = False):
+    def __init__(self, program: Program, costs: CycleCosts):
         self.instrs = program.instructions
         self.name = program.name
         self.mem_bytes = program.mem_bytes
         self.cost_table = _base_cost_table(costs)
         self.c_brx = costs.branch_taken_extra
         self.c_mem = costs.mem_issue
-        self.c_imiss = costs.ifetch_miss
-        #: inline the memfast load-hit probe (MRU tag check + deferred
-        #: stats) instead of calling ``_load``; the probe's runtime
-        #: bindings arrive through the ``_mf`` tuple so one compiled
-        #: module still serves every geometry in a sweep
-        self.memfast = memfast
-        #: append an exit code to the bound ``_q`` at every exit (the
-        #: batch engine's stream recorder); exclusive with memfast
-        self.record = record
-        assert not (record and memfast), "record mode never inlines memfast"
 
     # -- per-emit state ------------------------------------------------
     def _reset(self, start: int, end: int) -> None:
@@ -164,9 +137,7 @@ class _BlockEmitter:
         self.acc = 0  # pending constant cycles, flushed lazily
         self.written: list[int] = []  # arch regs written so far, in order
         self.wset: set[int] = set()
-        self.nl = self.ns = self.nb = 0
         self.k = 0  # instructions retired so far along the emitted path
-        self.cur_line = start >> _ILINE_SHIFT
 
     def _sink(self, op: int, a: int) -> int:
         return _SINK if a == 0 and op in _DEST_A else a
@@ -208,38 +179,27 @@ class _BlockEmitter:
 
     # -- exit sequences ------------------------------------------------
     def _state_flush(self, indent: str = "") -> None:
-        """st counters + written regs; st[0] is emitted by the caller.
+        """Retired count + written regs; st[0] is emitted by the caller.
         Everything flushed is the compile-time snapshot at this point of
-        the path, so mid-path side exits are exact."""
+        the block, so mid-block fault exits are exact."""
         e = lambda t: self.lines.append("        " + indent + t)  # noqa: E731
-        e(f"st[1] = {self.cur_line}")
-        if self.nl:
-            e(f"st[4] += {self.nl}")
-        if self.ns:
-            e(f"st[5] += {self.ns}")
-        if self.nb:
-            e(f"st[6] += {self.nb}")
-        e(f"st[7] = {self.k}")
+        e(f"st[1] = {self.k}")
         for reg in self.written:
             e(f"regs[{reg}] = r{reg}")
 
-    def _side_exit(self, indent: str, extra_cycles: int, target: str,
-                   halt: bool = False) -> None:
+    def _exit(self, target: str, halt: bool = False) -> None:
         """A complete exit: flush the state snapshot and return ``target``."""
-        e = lambda t: self.lines.append("        " + indent + t)  # noqa: E731
-        total = self.acc + extra_cycles
-        e(f"st[0] = cycle + {total}" if total else "st[0] = cycle")
-        self._state_flush(indent)
+        self._emit(f"st[0] = cycle + {self.acc}" if self.acc
+                   else "st[0] = cycle")
+        self._state_flush()
         if halt:
-            e("st[8] = 1")
-        if self.record:
-            e(f"_q.append({2 * self.start})")
-        e(f"return {target}")
+            self._emit("st[2] = 1")
+        self._emit(f"_q.append({2 * self.start})")
+        self._emit(f"return {target}")
 
     def _fault(self, cond: str, mnemonic: str, idx: int, addr: str) -> None:
-        """A guarded interpreter-identical ExecutionError raise. The core's
-        pc/cycle/instret stay stale (the interpreter's error contract);
-        registers written so far and the st counters are flushed."""
+        """A guarded interpreter-identical ExecutionError raise; registers
+        written so far and the st slots are flushed."""
         prefix = f"{self.name}@{idx}: bad {mnemonic} addr "
         self._emit(f"if {cond}:")
         self.lines.append(
@@ -247,24 +207,6 @@ class _BlockEmitter:
             else "            st[0] = cycle")
         self._state_flush("    ")
         self.lines.append(f"            raise _EE({prefix!r} + hex({addr}))")
-
-    # -- fetch accounting ----------------------------------------------
-    def _fetch(self, line: int, first: bool) -> None:
-        if first:
-            # only the block entry can re-fetch the line the previous
-            # block ended on; mid-block line crossings always fetch
-            self._emit(f"if st[1] != {line}:")
-            pad = "    "
-        else:
-            pad = ""
-        e = lambda t: self.lines.append("        " + pad + t)  # noqa: E731
-        e("st[2] += 1")
-        e(f"if {line} not in _lines:")
-        e(f"    _lines.add({line})")
-        e("    st[3] += 1")
-        if self.c_imiss:
-            e(f"    cycle += {self.c_imiss}")
-        self.cur_line = line
 
     # -- instruction emitters ------------------------------------------
     def _emit_alu(self, op: int, a: int, b: int, c: int) -> None:
@@ -344,28 +286,7 @@ class _BlockEmitter:
         self._emit_addr(idx, b, c, align, mnemonic)
         self._flush()
         src = "_a" if op == oc.LW else f"_a & {_U32 & ~3}"
-        if self.memfast:
-            # inline the fast load-hit probe: a tag match on the MRU way
-            # yields the word with the deferred-stats bookkeeping done in
-            # place; anything else (MRU stale, miss) calls the bound fast
-            # handler, which re-probes the set and handles the bail.
-            # ``_a >> _mfs`` == ``(_a & ~3) >> _mfs`` (line shift >= 2),
-            # ditto the word index, so subword loads share the hit path.
-            self._emit("_ln = _a >> _mfs")
-            self._emit("_li = _mru[_ln & _mfm]")
-            self._emit("if _li.tag == _ln:")
-            self._emit("    if _mfl:")
-            self._emit("        _acc[4] = _ts = _acc[4] + 1")
-            self._emit("        _li.use_stamp = _ts")
-            self._emit("    _acc[0] += 1")
-            self._emit("    _acc[2] += _mfe")
-            self._emit("    _v = _li.data[(_a >> 2) & _mfw]")
-            self._emit("    cycle += _mfh")
-            self._emit("else:")
-            self._emit(f"    _v, _l = _load({src}, cycle)")
-            self._emit("    cycle += _l")
-        else:
-            self._emit(f"_v, _l = _load({src}, cycle)")
+        self._emit(f"_v, _l = _load({src}, cycle)")
         if a != _SINK:
             if op == oc.LW:
                 self._emit(f"r{a} = _v")
@@ -380,80 +301,22 @@ class _BlockEmitter:
                 self._emit("_v = (_v >> ((_a & 2) * 8)) & 65535")
                 self._emit(f"r{a} = _v | {0xFFFF0000} if _v & 32768 else _v")
             self._mark_write(a)
-        if not self.memfast:  # memfast branches update cycle themselves
-            self._emit("cycle += _l")
+        self._emit("cycle += _l")
         self.acc += self.c_mem
-        self.nl += 1
-
-    def _emit_store_hit(self, guard: str, slow: str, dirty: bool,
-                        masked: bool, val: str) -> None:
-        """The inline store-hit body shared by the SW/SB/SH emitters.
-
-        Mirrors the memfast handlers' hit branch statement for statement
-        (stamp, stores, write energy, write_hits, merge) so the deferred
-        accumulator sees the identical update sequence; anything the
-        guard rejects calls the bound fast handler, which re-probes and
-        handles the bail to the bracketed slow path.
-        """
-        self._emit(f"if {guard}:")
-        self._emit("    if _mfl:")
-        self._emit("        _acc[4] = _ts = _acc[4] + 1")
-        self._emit("        _li.use_stamp = _ts")
-        self._emit("    _acc[1] += 1")
-        self._emit("    _acc[3] += _mfew")
-        if masked:
-            self._emit("    _wi = (_a >> 2) & _mfw")
-            self._emit("    _d = _li.data")
-            self._emit(f"    _d[_wi] = (_d[_wi] & ~_m) | {val}")
-        else:
-            self._emit(f"    _li.data[(_a >> 2) & _mfw] = {val} & {_U32}")
-        if dirty:
-            self._emit("    _li.dirty = True")
-        self._emit("    cycle += _mfhw")
-        self._emit("else:")
-        self._emit(f"    cycle += {slow}")
 
     def _emit_store(self, idx: int, op: int, a: int, b: int, c: int) -> None:
         align, mnemonic = _STORE_FAULT[op]
         self._emit_addr(idx, b, c, align, mnemonic)
         self._flush()
         val = self._src(a)
-        shape = self.memfast if self.memfast in ("wl", "wb") else None
-        if shape is not None:
-            # inline the fast store-hit probe. "wb" fast-paths any tag
-            # hit (hit stores just dirty the line); "wl" only an
-            # already-dirty line with no ACK due - the clean->dirty
-            # transition and ACK retirement go through the bound fast
-            # handler (DirtyQueue insert, waterline guard, slow bails).
-            # ``_a >> _mfs`` and ``(_a >> 2) & _mfw`` are alignment-
-            # independent (shift >= 2), so subword stores share the path.
-            self._emit("_ln = _a >> _mfs")
-            self._emit("_li = _mru[_ln & _mfm]")
-            if shape == "wl":
-                guard = ("_li.tag == _ln and _li.dirty and not "
-                         "(_pend and _pend[0].ack <= cycle)")
-            else:
-                guard = "_li.tag == _ln"
         if op == oc.SW:
-            slow = f"_store(_a, {val}, cycle)"
-            if shape is None:
-                self._emit(f"cycle += {slow}")
-            else:
-                self._emit_store_hit(guard, slow, shape == "wb", False, val)
+            self._emit(f"cycle += _store(_a, {val}, cycle)")
         else:
             unit, umask = (3, 255) if op == oc.SB else (2, 65535)
             self._emit(f"_s = (_a & {unit}) * 8")
-            if shape is None:
-                self._emit(f"cycle += _sm(_a & {_U32 & ~3}, "
-                           f"({val} & {umask}) << _s, {umask} << _s, cycle)")
-            else:
-                self._emit(f"_m = {umask} << _s")
-                self._emit(f"_bits = ({val} & {umask}) << _s")
-                slow = f"_sm(_a & {_U32 & ~3}, _bits, _m, cycle)"
-                self._emit_store_hit(guard, slow, shape == "wb", True,
-                                     "_bits")
+            self._emit(f"cycle += _sm(_a & {_U32 & ~3}, "
+                       f"({val} & {umask}) << _s, {umask} << _s, cycle)")
         self.acc += self.c_mem
-        self.ns += 1
 
     # -- terminators ----------------------------------------------------
     def _branch_cond(self, op: int, a: int, b: int) -> str:
@@ -466,29 +329,18 @@ class _BlockEmitter:
     def _finish_branch(self, op: int, a: int, b: int, c: int) -> None:
         """Basic-block terminator: both paths exit with the same snapshot
         (the flush is shared; only st[0] and the target differ)."""
-        self.nb += 1
         cond = self._branch_cond(op, a, b)
         self._state_flush()
         self._emit(f"if {cond}:")
         taken = self.acc + self.c_brx
         self._emit(f"    st[0] = cycle + {taken}" if taken
                    else "    st[0] = cycle")
-        if self.record:
-            self._emit(f"    _q.append({2 * self.start + 1})")
+        self._emit(f"    _q.append({2 * self.start + 1})")
         self._emit(f"    return {c}")
         self._emit(f"st[0] = cycle + {self.acc}" if self.acc
                    else "st[0] = cycle")
-        if self.record:
-            self._emit(f"_q.append({2 * self.start})")
+        self._emit(f"_q.append({2 * self.start})")
         self._emit(f"return {self.end}")
-
-    def _emit_branch_side_exit(self, op: int, a: int, b: int,
-                               c: int) -> None:
-        """Trace-mode conditional branch: the taken path flushes its own
-        snapshot and leaves; the fall-through continues inline."""
-        self.nb += 1
-        self._emit(f"if {self._branch_cond(op, a, b)}:")
-        self._side_exit("    ", self.c_brx, str(c))
 
     def _emit_link(self, idx: int, a: int) -> None:
         if a != _SINK:
@@ -498,48 +350,31 @@ class _BlockEmitter:
     def _finish_jalr(self, idx: int, a: int, b: int, c: int) -> None:
         self._emit(f"_t = ({self._src(b)} + {c}) & {_U32}")
         self._emit_link(idx, a)
-        self._side_exit("", 0, "_t")
+        self._exit("_t")
 
     # -- drivers ---------------------------------------------------------
     def _head(self, fname: str, indices) -> list[str]:
         """Function header: def line, cycle local, entry register loads.
         Runtime bindings arrive as default arguments, the fastest way to
         give generated code access to non-local state."""
-        extra = ""
-        if self.memfast:
-            extra = (", _mru=_mru, _acc=_acc, _mfs=_mfs, _mfm=_mfm, "
-                     "_mfw=_mfw, _mfe=_mfe, _mfh=_mfh, _mfl=_mfl")
-            if self.memfast in ("wl", "wb"):
-                extra += ", _mfew=_mfew, _mfhw=_mfhw"
-            if self.memfast == "wl":
-                extra += ", _pend=_pend"
-        elif self.record:
-            extra = ", _q=_q"
         head = [
-            f"    def {fname}(regs, st, _load=_load, _store=_store, "
-            f"_sm=_sm, _lines=_lines, _sdiv=_sdiv, _srem=_srem, "
-            f"_EE=_EE{extra}):",
+            f"    def {fname}(regs, st, _load=_load, _store=_store, _sm=_sm, "
+            "_sdiv=_sdiv, _srem=_srem, _EE=_EE, _q=_q):",
             "        cycle = st[0]",
         ]
         for reg in self._prescan(indices):
             head.append(f"        r{reg} = regs[{reg}]")
         return head
 
-    def emit(self, start: int, end: int, fname: str) -> tuple[str, bool]:
-        """Return ``(source, ends_in_halt)`` for the block ``[start, end)``."""
+    def emit(self, start: int, end: int, fname: str) -> str:
+        """Return the source of the block ``[start, end)``."""
         self._reset(start, end)
         head = self._head(fname, range(start, end))
 
-        ends_in_halt = False
         terminated = False
-        prev_line = None
         for i in range(start, end):
             op, a, b, c = self.instrs[i]
             a = self._sink(op, a)
-            line = i >> _ILINE_SHIFT
-            if line != prev_line:
-                self._fetch(line, first=prev_line is None)
-                prev_line = line
             self.acc += self.cost_table[op]
             self.k += 1
 
@@ -554,188 +389,67 @@ class _BlockEmitter:
                 terminated = True
             elif op == oc.JAL:
                 self._emit_link(i, a)
-                self._side_exit("", 0, str(b))
+                self._exit(str(b))
                 terminated = True
             elif op == oc.JALR:
                 self._finish_jalr(i, a, b, c)
                 terminated = True
             elif op == oc.HALT:
-                ends_in_halt = True
                 terminated = True
-                self._side_exit("", 0, str(i), halt=True)  # park on HALT
+                self._exit(str(i), halt=True)  # park on HALT
             else:  # NOP: cost only
                 pass
         if not terminated:
             # fell off the span without a terminator: continue at `end`
-            # (end == len(program) surfaces as the interpreter's
-            # pc-outside-program error at the next dispatch)
-            self._side_exit("", 0, str(end))
+            # (end == len(program) surfaces as the recorder's pc-escape
+            # bail at the next dispatch)
+            self._exit(str(end))
 
-        return "\n".join(head + self.lines), ends_in_halt
-
-    def _trace_path(self, start: int, cap: int) -> tuple[list[int],
-                                                         int | None]:
-        """The pcs a trace rooted at ``start`` inlines, in execution
-        order, plus the pc of the trailing plain exit (None when the path
-        ends on a JALR/HALT, which emit their own exits). The walk follows
-        fall-throughs, unconditional jumps, calls, and conditional-branch
-        fall-throughs; it stops at a revisited pc (loop back-edge), the
-        cap, or the edge of the program."""
-        instrs = self.instrs
-        n = len(instrs)
-        path: list[int] = []
-        seen: set[int] = set()
-        i = start
-        while 0 <= i < n and i not in seen and len(path) < cap:
-            op = instrs[i][0]
-            path.append(i)
-            seen.add(i)
-            if op == oc.JAL:
-                i = instrs[i][2]
-            elif op == oc.JALR or op == oc.HALT:
-                return path, None
-            else:
-                i += 1
-        return path, i
-
-    def emit_trace(self, start: int, cap: int,
-                   fname: str) -> tuple[str, int]:
-        """Return ``(source, path length)`` for a trace rooted at ``start``.
-
-        The retired-instruction count depends on which exit fires, so
-        every exit reports its own snapshot through ``st[7]``; the path
-        length is the maximum (used only to bound budget checks).
-        """
-        path, exit_pc = self._trace_path(start, cap)
-        self._reset(start, start)
-        head = self._head(fname, path)
-
-        prev_line = None
-        for i in path:
-            op, a, b, c = self.instrs[i]
-            a = self._sink(op, a)
-            line = i >> _ILINE_SHIFT
-            if line != prev_line:
-                self._fetch(line, first=prev_line is None)
-                prev_line = line
-            self.acc += self.cost_table[op]
-            self.k += 1
-
-            if op in _PURE:
-                self._emit_alu(op, a, b, c)
-            elif op in oc.LOAD_FORMAT:
-                self._emit_load(i, op, a, b, c)
-            elif op in oc.STORE_FORMAT:
-                self._emit_store(i, op, a, b, c)
-            elif op in oc.B_FORMAT:
-                self._emit_branch_side_exit(op, a, b, c)
-            elif op == oc.JAL:
-                self._emit_link(i, a)  # inlined: execution continues
-            elif op == oc.JALR:
-                self._finish_jalr(i, a, b, c)
-            elif op == oc.HALT:
-                self._side_exit("", 0, str(i), halt=True)
-            # NOP: cost only
-        if exit_pc is not None:
-            self._side_exit("", 0, str(exit_pc))
-        return "\n".join(head + self.lines), len(path)
+        return "\n".join(head + self.lines)
 
 
-def _bind_header(memfast, record: bool = False) -> list[str]:
-    """The ``_bind`` def line (plus the ``_mf`` unpack in memfast mode).
-
-    ``_mf`` is accepted by every module so the dispatcher can use one
-    calling convention; memfast modules unpack it into the inline hit
-    probes' bindings (MRU list, accumulator, shift/masks, energies, hit
-    latencies, LRU flag, ACK deque - all runtime values, never literals,
-    so the compiled module is shared across geometries and cost sweeps;
-    only the store *family* is compiled in, via ``memfast``). Record-mode
-    modules take the extra ``_q`` exit-code list instead.
-    """
-    lines = ["def _bind(_load, _store, _sm, _lines, _sdiv, _srem, _EE, "
-             + ("_mf=None, _q=None):" if record else "_mf=None):")]
-    if memfast:
-        lines.append("    (_mru, _acc, _mfs, _mfm, _mfw, _mfe, _mfh, "
-                     "_mfl, _mfew, _mfhw, _pend) = _mf")
-    return lines
+#: The ``_bind`` def line every generated module starts with: the
+#: bound memory-system methods, the division helpers, the fault type,
+#: and the exit-code list ``_q``.
+_BIND_HEADER = "def _bind(_load, _store, _sm, _sdiv, _srem, _EE, _q):"
 
 
-def compile_blocks_source(program: Program, costs: CycleCosts,
-                          memfast: str | bool = False,
-                          record: bool = False) -> tuple[str, dict]:
-    """Source of the whole-program JIT module plus block metadata.
+def compile_blocks_source(program: Program, costs: CycleCosts) -> str:
+    """Source of the whole-program record module.
 
-    The module defines ``_bind(_load, _store, _sm, _lines, _sdiv, _srem,
-    _EE, _mf=None)`` returning a pc-indexed dispatch table: ``table[start]
-    = (fn, length)`` for each block leader, ``None`` elsewhere (retirement
-    and halting are reported through ``st[7]``/``st[8]``). Binding is
-    cheap (function objects over shared code), so each core gets its own
-    table closed over its own memory system. ``record=True`` modules bind
-    a ninth ``_q`` argument and append exit codes to it (see the module
-    docstring); they are cached separately by :mod:`repro.jit.cache`.
+    The module defines ``_bind(_load, _store, _sm, _sdiv, _srem, _EE,
+    _q)`` returning a pc-indexed dispatch table: ``table[start] = (fn,
+    length)`` for each block leader, ``None`` elsewhere (retirement and
+    halting are reported through ``st[1]``/``st[2]``). Binding is
+    cheap (function objects over shared code), so each recording gets its
+    own table closed over its own memory system and exit-code list.
     """
     n = len(program.instructions)
     spans = block_spans(program)
-    emitter = _BlockEmitter(program, costs, memfast, record)
+    emitter = _BlockEmitter(program, costs)
     parts = [
         f"# JIT blocks for {program.name!r} (generated; costs baked in)",
-        *_bind_header(memfast, record),
+        _BIND_HEADER,
         f"    _table = [None] * {n}",
     ]
-    meta: dict[int, tuple[int, bool]] = {}
     for start, end in spans:
-        src, halts = emitter.emit(start, end, f"_b{start}")
-        parts.append(src)
+        parts.append(emitter.emit(start, end, f"_b{start}"))
         parts.append(f"    _table[{start}] = (_b{start}, {end - start})")
-        meta[start] = (end - start, halts)
     parts.append("    return _table")
-    return "\n".join(parts) + "\n", meta
-
-
-def block_meta(program: Program) -> dict[int, tuple[int, bool]]:
-    """The ``{leader: (length, ends_in_halt)}`` metadata of
-    :func:`compile_blocks_source`, derived without rendering.
-
-    HALT is a CFG terminator, so it can only be a block's *last*
-    instruction - which makes the metadata a pure function of the block
-    partition. This is what lets a warm start rebuild a
-    :class:`~repro.jit.cache.CompiledProgram` from persisted source text
-    alone (:mod:`repro.store`)."""
-    instrs = program.instructions
-    return {start: (end - start, instrs[end - 1][0] == oc.HALT)
-            for start, end in block_spans(program)}
+    return "\n".join(parts) + "\n"
 
 
 def compile_suffix_source(program: Program, costs: CycleCosts,
-                          start: int, end: int,
-                          memfast: str | bool = False,
-                          record: bool = False) -> str:
+                          start: int, end: int) -> str:
     """Source for a *suffix block* ``[start, end)`` - the tail of a basic
-    block, compiled on demand when execution resumes mid-block (a chunk
-    budget or power failure interrupted the enclosing block; in record
-    mode, when an indirect ``jalr`` lands on a non-leader pc). The
-    module's ``_bind`` returns a single ``(fn, length)`` entry."""
-    emitter = _BlockEmitter(program, costs, memfast, record)
-    src, _halts = emitter.emit(start, end, f"_s{start}")
+    block, compiled on demand when an indirect ``jalr`` lands on a
+    non-leader pc. The module's ``_bind`` returns a single ``(fn,
+    length)`` entry."""
+    emitter = _BlockEmitter(program, costs)
+    src = emitter.emit(start, end, f"_s{start}")
     return "\n".join([
         f"# JIT suffix block [{start}, {end}) for {program.name!r}",
-        *_bind_header(memfast, record),
+        _BIND_HEADER,
         src,
         f"    return (_s{start}, {end - start})",
-    ]) + "\n"
-
-
-def compile_trace_source(program: Program, costs: CycleCosts,
-                         start: int, cap: int,
-                         memfast: str | bool = False) -> str:
-    """Source for a *trace* rooted at ``start`` (see the module docstring).
-    The module's ``_bind`` returns a single ``(fn, max_retire)`` entry;
-    the actual retirement of each call arrives through ``st[7]``."""
-    emitter = _BlockEmitter(program, costs, memfast)
-    src, length = emitter.emit_trace(start, cap, f"_t{start}")
-    return "\n".join([
-        f"# JIT trace @{start} (cap {cap}) for {program.name!r}",
-        *_bind_header(memfast),
-        src,
-        f"    return (_t{start}, {length})",
     ]) + "\n"

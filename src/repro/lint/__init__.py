@@ -13,8 +13,8 @@ Three layers:
   region length vs. the capacitor budget, torn subword stores, and
   dead/unreachable checkpoints.
 * **Codegen auditor** (:mod:`repro.lint.codegen_audit`): an ``ast``-based
-  static pass over the *generated* Python the jit/memfast/batch layers
-  emit, verifying the structural contracts (A001-A007) that the
+  static pass over the *generated* Python the record/memfast/batch layers
+  emit, verifying the structural contracts (A001-A009) that the
   differential tests only sample dynamically.
 * **Protocol invariant checker** (:func:`attach_invariants`): a runtime
   assertion layer over WL-Cache that turns the paper's correctness

@@ -1,14 +1,15 @@
-"""Static auditor for the generated Python of the jit/memfast/batch tiers.
+"""Static auditor for the generated Python of the record/memfast/batch tiers.
 
-Four subsystems in this codebase *generate* Python source and ``exec``
-it: the basic-block/trace JIT (:mod:`repro.jit.blocks`), the
-memory-hierarchy fast path (:mod:`repro.memfast.handlers`), the
-batch tier's record mode (a JIT variant) plus its hand-written stream
-walker (:mod:`repro.batch.replay`), and the lockstep tier's column
-engine (:mod:`repro.lockstep.codegen`). Their correctness contracts are
-exercised dynamically by differential tests, but dynamic tests only
-sample: a side exit that forgets to flush one ``st`` slot is invisible
-until a power trace happens to interrupt that exact block. This module
+Three subsystems in this codebase *generate* Python source and ``exec``
+it: the batch recorder's record-mode block codegen
+(:mod:`repro.jit.blocks`), the memory-hierarchy fast path
+(:mod:`repro.memfast.handlers`), and the lockstep tier's column engine
+(:mod:`repro.lockstep.codegen`); the batch tier's hand-written stream
+walker (:mod:`repro.batch.replay`) is audited alongside them. Their
+correctness contracts are exercised dynamically by differential tests,
+but dynamic tests only sample: a fault exit that forgets to flush one
+``st`` slot is invisible until a random program happens to fault in
+that exact block. This module
 re-states the contracts *structurally* and verifies them over the
 ``ast`` of the actual generated source - every exit path, every bail
 edge, every baked constant - so a codegen regression is caught by shape,
@@ -18,32 +19,28 @@ The contracts (registered as ``A0xx`` in :mod:`repro.lint.findings`):
 
 * **A001 exit-state-incomplete** - every exit path of a generated
   function (each ``return`` and each fault ``raise _EE``) is dominated
-  by assignments to ``st[0]`` (cycle), ``st[1]`` (fetch line) and
-  ``st[7]`` (retired count); every constant ``st`` index is in 0..8.
-  This is the "9-slot state list travels whole" contract the dispatcher
-  and the capacitor accounting rely on.
-* **A002 retire-count-mismatch** - the ``st[7]`` constant each exit
+  by assignments to ``st[0]`` (cycle) and ``st[1]`` (retired count);
+  every constant ``st`` index is in 0..2. The recorder sums ``st[1]``
+  into its retired count and reads ``st[0]`` as the static cycle
+  total.
+* **A002 retire-count-mismatch** - the ``st[1]`` constant each exit
   flushes is consistent with the block length the dispatch table
   declares: block/suffix returns retire exactly the declared length,
-  trace side exits and fault paths retire ``1..length``.
-* **A003 record-exit-codes** - in record mode every return is dominated
-  by *exactly one* ``_q.append(code)`` with ``code`` in ``{2*start,
-  2*start + 1}``; fault paths append nothing; non-record modules never
-  mention ``_q``. The batch engine replays streams positionally, so a
-  missing, doubled, or mislabeled exit code silently corrupts every
-  replay of the recording.
-* **A004 bail-before-mutate** - a bail to the bracketed slow path
-  (``return _slow(...)`` in a handler, the tag-guard else-arm in
-  JIT-inlined probes) must happen before any state mutation, because
-  the slow path replays the access from scratch. The only mutation
-  allowed before a bail is the MRU-hint update ``_mru[si] = line`` (a
-  probe cache, semantically invisible). In JIT functions, every
-  mutation of the deferred accumulator or a cache line must sit under a
-  tag-match guard.
+  fault paths retire ``1..length``.
+* **A003 record-exit-codes** - every return is dominated by *exactly
+  one* ``_q.append(code)`` with ``code`` in ``{2*start, 2*start + 1}``;
+  fault paths append nothing. The batch engine replays streams
+  positionally, so a missing, doubled, or mislabeled exit code silently
+  corrupts every replay of the recording.
+* **A004 bail-before-mutate** - a handler's bail to the bracketed slow
+  path (``return _slow(...)``) must happen before any state mutation,
+  because the slow path replays the access from scratch. The only
+  mutation allowed before a bail is the MRU-hint update ``_mru[si] =
+  line`` (a probe cache, semantically invisible).
 * **A005 baked-key-mismatch** - regenerating the source from the keying
-  inputs (program content, frozen costs, memfast family, record flag;
-  for handlers, the live geometry/energy fields) reproduces the audited
-  source byte for byte. This pins the code cache's keying tuple to the
+  inputs (program content and frozen costs; for handlers, the live
+  geometry/energy fields) reproduces the audited source byte for
+  byte. This pins the code cache's keying tuple to the
   baked constants: if codegen starts baking a value the key does not
   cover, the first sweep that varies it gets stale code - and this
   check fails loudly instead.
@@ -81,16 +78,16 @@ The contracts (registered as ``A0xx`` in :mod:`repro.lint.findings`):
   here rather than silently executed again next run.
 
 Drivers: :func:`audit_compiled` (one
-:class:`~repro.jit.cache.CompiledProgram`, including any suffix/trace
-modules it has materialized), :func:`audit_memfast_design` (one live
-memory system's installed handlers), :func:`audit_replay_module` (the
-batch walker), :func:`audit_lockstep_engines` (every retained column-
-engine source), :func:`audit_store_loads` (the A009 ledger), and
-:func:`audit_suite` (the CLI's ``repro audit``:
-runs every requested kernel on every requested design with jit+memfast
-on, then audits everything those runs compiled, plus each kernel's
-record modules, plus the column engines a small lockstep sweep
-materializes).
+:class:`~repro.jit.cache.CompiledProgram`, including any suffix modules
+it has materialized), :func:`audit_memfast_design` (one live memory
+system's installed handlers), :func:`audit_replay_module` (the batch
+walker), :func:`audit_lockstep_engines` (every retained column-engine
+source), :func:`audit_store_loads` (the A009 ledger), and
+:func:`audit_suite` (the CLI's ``repro audit``: runs every requested
+kernel on every requested design with memfast on and audits the
+installed handlers, records each kernel and audits its record modules
+with the suffixes the recording materialized, plus the column engines
+a small lockstep sweep materializes).
 """
 
 from __future__ import annotations
@@ -226,28 +223,21 @@ def _mutations_of(stmt) -> set[str]:
     return out
 
 
-def _mentions_tag(node) -> bool:
-    return any(isinstance(n, ast.Attribute) and n.attr == "tag"
-               for n in ast.walk(node))
-
-
 # ---------------------------------------------------------------------------
-# per-function contracts (A001/A002/A003 + the JIT half of A004)
+# per-function contracts (A001/A002/A003)
 # ---------------------------------------------------------------------------
 
 def _fn_kind(name: str) -> str | None:
-    """'block' / 'suffix' / 'trace' from the generated naming scheme."""
+    """'block' / 'suffix' from the generated naming scheme."""
     if name.startswith("_b"):
         return "block"
     if name.startswith("_s") and name != "_state_flush":
         return "suffix"
-    if name.startswith("_t"):
-        return "trace"
     return None
 
 
 def _audit_generated_fn(fn: ast.FunctionDef, declared: int | None,
-                        record: bool, loc: str) -> list[Finding]:
+                        loc: str) -> list[Finding]:
     findings: list[Finding] = []
     kind = _fn_kind(fn.name)
     start = int(fn.name[2:]) if kind else None
@@ -255,10 +245,10 @@ def _audit_generated_fn(fn: ast.FunctionDef, declared: int | None,
     # A001 (range half): every constant st index the function touches
     for node in ast.walk(fn):
         idx = _st_subscript_index(node)
-        if idx is not None and not 0 <= idx <= 8:
+        if idx is not None and not 0 <= idx <= 2:
             findings.append(make_finding(
                 "A001", loc,
-                f"st[{idx}] is outside the 9-slot state list"))
+                f"st[{idx}] is outside the 3-slot state list"))
 
     for exit_node, doms in _exit_paths(fn):
         is_raise = isinstance(exit_node, ast.Raise)
@@ -266,22 +256,22 @@ def _audit_generated_fn(fn: ast.FunctionDef, declared: int | None,
         where = f"{loc} line {line}"
         slots = _st_const_assigns(doms)
 
-        # A001: the cycle/line/retired slots flush on every exit
-        missing = [k for k in (0, 1, 7) if k not in slots]
+        # A001: the cycle/retired slots flush on every exit
+        missing = [k for k in (0, 1) if k not in slots]
         if missing:
             kind_s = "fault path" if is_raise else "exit"
             findings.append(make_finding(
                 "A001", where,
                 f"{kind_s} leaves st{missing} unwritten (every exit "
-                f"must flush st[0]/st[1]/st[7])"))
+                f"must flush st[0]/st[1])"))
 
         # A002: the retired count is consistent with the declared length
-        retired = slots.get(7)
+        retired = slots.get(1)
         if (declared is not None and retired is not None
                 and isinstance(retired, ast.Constant)
                 and isinstance(retired.value, int)):
             k = retired.value
-            if is_raise or kind == "trace":
+            if is_raise:
                 ok = 1 <= k <= declared
                 want = f"1..{declared}"
             else:
@@ -290,60 +280,38 @@ def _audit_generated_fn(fn: ast.FunctionDef, declared: int | None,
             if not ok:
                 findings.append(make_finding(
                     "A002", where,
-                    f"exit flushes st[7] = {k}, but the dispatch table "
+                    f"exit flushes st[1] = {k}, but the dispatch table "
                     f"declares length {declared} (expected {want})"))
 
-        # A003: record-mode exit codes
-        if record:
-            appends = _q_appends(doms)
-            if is_raise:
-                if appends:
-                    findings.append(make_finding(
-                        "A003", where,
-                        "fault path appends an exit code (faults retire "
-                        "no block; the replay stream must not see one)"))
-            elif len(appends) != 1:
+        # A003: exit codes
+        appends = _q_appends(doms)
+        if is_raise:
+            if appends:
                 findings.append(make_finding(
                     "A003", where,
-                    f"exit appends {len(appends)} exit codes (exactly "
-                    f"one per return)"))
-            elif start is not None:
-                arg = appends[0]
-                ok = (isinstance(arg, ast.Constant)
-                      and arg.value in (2 * start, 2 * start + 1))
-                if not ok:
-                    got = ast.unparse(arg) if arg is not None else "<none>"
-                    findings.append(make_finding(
-                        "A003", where,
-                        f"exit code {got} is not 2*{start} or "
-                        f"2*{start}+1"))
-
-    # A004 (JIT half): inlined-probe mutations must be tag-guarded
-    def guard_walk(suite, guarded):
-        for stmt in suite:
-            if isinstance(stmt, ast.If):
-                guard_walk(stmt.body,
-                           guarded or _mentions_tag(stmt.test))
-                guard_walk(stmt.orelse, guarded)
-            elif isinstance(stmt, (ast.For, ast.While)):
-                guard_walk(stmt.body, guarded)
-                guard_walk(stmt.orelse, guarded)
-            elif not guarded:
-                bad = _mutations_of(stmt) & {"_acc", "_li", "_d"}
-                if bad:
-                    findings.append(make_finding(
-                        "A004",
-                        f"{loc} line {getattr(stmt, 'lineno', 0)}",
-                        f"mutates {sorted(bad)} outside a tag-match "
-                        f"guard (the bail path would double-apply it)"))
-
-    guard_walk(fn.body, False)
+                    "fault path appends an exit code (faults retire "
+                    "no block; the replay stream must not see one)"))
+        elif len(appends) != 1:
+            findings.append(make_finding(
+                "A003", where,
+                f"exit appends {len(appends)} exit codes (exactly "
+                f"one per return)"))
+        elif start is not None:
+            arg = appends[0]
+            ok = (isinstance(arg, ast.Constant)
+                  and arg.value in (2 * start, 2 * start + 1))
+            if not ok:
+                got = ast.unparse(arg) if arg is not None else "<none>"
+                findings.append(make_finding(
+                    "A003", where,
+                    f"exit code {got} is not 2*{start} or "
+                    f"2*{start}+1"))
     return findings
 
 
 def _declared_lengths(bind: ast.FunctionDef) -> dict[str, int]:
     """``{fn name: length}`` from ``_table[N] = (_bN, L)`` assignments
-    and the suffix/trace ``return (_fN, L)`` forms."""
+    and the suffix ``return (_sN, L)`` form."""
     out: dict[str, int] = {}
 
     def from_tuple(node):
@@ -455,9 +423,8 @@ def _scope_findings(tree: ast.Module, loc: str,
 # module-level audits
 # ---------------------------------------------------------------------------
 
-def audit_module_source(source: str, unit: str,
-                        record: bool = False) -> list[Finding]:
-    """A001-A004 + A006 over one generated JIT module's source."""
+def audit_module_source(source: str, unit: str) -> list[Finding]:
+    """A001-A003 + A006 over one generated record module's source."""
     try:
         tree = ast.parse(source)
     except SyntaxError as exc:  # pragma: no cover - compile() ran first
@@ -470,73 +437,49 @@ def audit_module_source(source: str, unit: str,
     if bind is None:
         return [make_finding("A006", unit,
                              "generated module defines no _bind")]
-    if not record:
-        # A003 flip side: only record modules may touch the exit queue
-        for node in ast.walk(bind):
-            if isinstance(node, ast.Name) and node.id == "_q":
-                findings.append(make_finding(
-                    "A003", f"{unit} line {node.lineno}",
-                    "non-record module references the record queue _q"))
-                break
     declared = _declared_lengths(bind)
     for fn in bind.body:
         if not isinstance(fn, ast.FunctionDef) or _fn_kind(fn.name) is None:
             continue
         findings.extend(_audit_generated_fn(
-            fn, declared.get(fn.name), record, f"{unit}:{fn.name}"))
+            fn, declared.get(fn.name), f"{unit}:{fn.name}"))
     findings.extend(_scope_findings(tree, unit))
     return findings
 
 
 def audit_compiled(compiled) -> list[Finding]:
     """Audit one :class:`~repro.jit.cache.CompiledProgram`: the block
-    module, every materialized suffix/trace module, and the A005
-    recompile check that ties the source to the cache keying tuple."""
-    from repro.jit.blocks import (compile_blocks_source,
-                                  compile_suffix_source,
-                                  compile_trace_source)
-    from repro.jit.cache import TRACE_CAP
+    module, every materialized suffix module, and the A005 recompile
+    check that ties the source to the cache keying tuple."""
+    from repro.jit.blocks import compile_blocks_source, compile_suffix_source
 
     program, costs = compiled.program, compiled.costs
-    mode = "record" if compiled.record else (compiled.memfast or "plain")
-    unit = f"jit:{program.name}[{mode}]"
-    findings = audit_module_source(compiled.source, unit, compiled.record)
+    unit = f"jit:{program.name}[record]"
+    findings = audit_module_source(compiled.source, unit)
 
-    fresh, _meta = compile_blocks_source(program, costs, compiled.memfast,
-                                         compiled.record)
-    if fresh != compiled.source:
+    if compile_blocks_source(program, costs) != compiled.source:
         findings.append(make_finding(
             "A005", unit,
-            "recompiling from the cache key (program content, costs, "
-            "memfast, record) does not reproduce the cached source - a "
-            "baked constant escapes the keying tuple"))
+            "recompiling from the cache key (program content, costs) "
+            "does not reproduce the cached source - a baked constant "
+            "escapes the keying tuple"))
 
-    starts = sorted(s for s, _l in compiled.block_meta.items())
+    starts = compiled._starts
     n = compiled.n
     for pc, src in sorted(compiled.suffix_sources.items()):
         sunit = f"{unit}+{pc}"
-        findings.extend(audit_module_source(src, sunit, compiled.record))
+        findings.extend(audit_module_source(src, sunit))
         end = next((s for s in starts if s > pc), n)
-        if src != compile_suffix_source(program, costs, pc, end,
-                                        compiled.memfast, compiled.record):
+        if src != compile_suffix_source(program, costs, pc, end):
             findings.append(make_finding(
                 "A005", sunit,
                 f"suffix module @{pc} diverges from a fresh compile of "
-                f"the same key"))
-    for pc, src in sorted(compiled.trace_sources.items()):
-        tunit = f"{unit}~{pc}"
-        findings.extend(audit_module_source(src, tunit, False))
-        if src != compile_trace_source(program, costs, pc, TRACE_CAP,
-                                       compiled.memfast):
-            findings.append(make_finding(
-                "A005", tunit,
-                f"trace module @{pc} diverges from a fresh compile of "
                 f"the same key"))
     return findings
 
 
 def _audit_handler_source(source: str, unit: str) -> list[Finding]:
-    """A004 (handler half) + A006 over one memfast handler module."""
+    """A004 + A006 over one memfast handler module."""
     try:
         tree = ast.parse(source)
     except SyntaxError as exc:  # pragma: no cover
@@ -833,13 +776,13 @@ def audit_store_loads() -> list[Finding]:
 
 def audit_suite(apps=None, designs=None,
                 scale: float = 1.0) -> dict[str, list[Finding]]:
-    """Run the requested kernel x design grid with jit+memfast on, then
-    statically audit every module those runs compiled (blocks, suffixes,
-    traces, memfast handlers) plus each kernel's batch record modules,
-    the replay walker, and the column engines a small lockstep sweep
-    (first kernel, every requested design, traced and untraced)
-    materializes. Returns ``{unit: findings}``."""
-    from repro.batch.record import recording_costs
+    """Run the requested kernel x design grid with memfast on and audit
+    the installed handlers; record each kernel once per cost model and
+    audit its record modules, including the suffixes the recording
+    materialized; then audit the replay walker and the column engines a
+    small lockstep sweep (first kernel, every requested design, traced
+    and untraced) materializes. Returns ``{unit: findings}``."""
+    from repro.batch.record import RecordingBail, record_run, recording_costs
     from repro.jit.cache import get_compiled
     from repro.sim.config import DESIGNS, SimConfig
     from repro.sim.factory import build_system
@@ -848,6 +791,7 @@ def audit_suite(apps=None, designs=None,
 
     apps = list(apps) if apps else list(ALL_WORKLOADS)
     designs = list(designs) if designs else list(DESIGNS)
+    config = SimConfig(memfast=True)
     results: dict[str, list[Finding]] = {
         "batch:replay": audit_replay_module()}
     for app in apps:
@@ -855,26 +799,26 @@ def audit_suite(apps=None, designs=None,
         findings: list[Finding] = []
         record_costs_seen = set()
         for design in designs:
-            system = build_system(program, design, None,
-                                  SimConfig(jit=True, memfast=True))
+            system = build_system(program, design, None, config)
             system.run()
-            jit_state = getattr(system.core, "_jit_state", None)
-            if jit_state is not None:
-                findings.extend(audit_compiled(jit_state.compiled))
-                rcosts = recording_costs(system.core.costs)
-                if rcosts not in record_costs_seen:
-                    record_costs_seen.add(rcosts)
-                    findings.extend(audit_compiled(
-                        get_compiled(program, rcosts, record=True)))
             findings.extend(audit_memfast_design(system.design))
+            rcosts = recording_costs(system.core.costs)
+            if rcosts not in record_costs_seen:
+                record_costs_seen.add(rcosts)
+                try:
+                    record_run(program, system.core.costs,
+                               config.max_instructions)
+                except RecordingBail:
+                    pass  # a bail still leaves the modules it ran on
+                findings.extend(audit_compiled(get_compiled(program,
+                                                            rcosts)))
         results[app] = findings
 
     # materialize column engines for every requested design shape, in
     # both traced and untraced epilogue variants, then audit them
     for trace in (None, "trace1"):
         run_grid(apps[:1], designs, trace, jobs=1, scale=scale,
-                 verify=False, jit=True, memfast=True, batch=True,
-                 lockstep=True)
+                 verify=False, memfast=True, batch=True, lockstep=True)
     results["lockstep:engines"] = audit_lockstep_engines()
     results["store:loads"] = audit_store_loads()
     return results

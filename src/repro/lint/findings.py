@@ -11,7 +11,7 @@ Two rule families share the registry:
   L009-L014 are the intermittency-safety rules and only run under
   ``--intermittent`` (see :mod:`repro.lint.intermittent`).
 * ``A0xx`` - static audit contracts over *generated* Python from the
-  jit/memfast/batch codegen layers (``repro audit``, see
+  record/memfast/batch/lockstep codegen layers (``repro audit``, see
   :mod:`repro.lint.codegen_audit`).
 
 :func:`sarif_log` renders either family (or a mix) as a SARIF 2.1.0 log
@@ -89,14 +89,14 @@ RULES_BY_NAME: dict[str, Rule] = {r.name: r for r in RULES.values()}
 #: from the program-lint rules so each CLI reports its own catalogue.
 AUDIT_RULES: dict[str, Rule] = {r.id: r for r in [
     Rule("A001", "exit-state-incomplete", ERROR,
-         "a generated exit path leaves the 9-slot st list partially "
-         "written (st[0]/st[1]/st[7] must be flushed on every exit)"),
+         "a generated exit path leaves the 3-slot st list partially "
+         "written (st[0]/st[1] must be flushed on every exit)"),
     Rule("A002", "retire-count-mismatch", ERROR,
-         "a generated exit reports a retired-instruction count st[7] "
+         "a generated exit reports a retired-instruction count st[1] "
          "inconsistent with the dispatch-table block length"),
     Rule("A003", "record-exit-codes", ERROR,
          "a record-mode exit appends a wrong/missing exit code to _q "
-         "(or a non-record module touches _q at all)"),
+         "(or a fault path appends one)"),
     Rule("A004", "bail-before-mutate", ERROR,
          "a fast-path bail to the slow path happens after a state "
          "mutation (only the MRU-hint update may precede a bail)"),

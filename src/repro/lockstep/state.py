@@ -15,8 +15,8 @@ rejoin instances between engine rounds with plain list indexing.
 The slot also fixes the *signature* the engine is specialized on: the
 memory-call shape per instance (``call`` for designs without the
 memfast tier, ``base`` for fast loads + slow-path stores, ``wb``/``wl``
-for the two fast store-hit shapes), the LRU flag - mirroring exactly
-the probe variants :mod:`repro.jit.blocks` inlines in memfast mode -
+for the two fast store-hit shapes, mirroring
+:attr:`~repro.memfast.attach.MemfastState.store_shape`), the LRU flag,
 and whether the instance runs under a power trace (which selects the
 serial budget formula and the capacitor accounting block).
 """

@@ -7,9 +7,8 @@ LRU flag, and energy constants baked in, an MRU-way probe per set, and
 deferred statistics flushed at every observable point. Bit-identical to
 the slow path by construction (and by the differential test suite).
 Enable with ``SimConfig(memfast=True)``, ``--memfast`` on the CLI, or
-``REPRO_MEMFAST=1`` in the environment; compose with ``REPRO_JIT=1`` to
-let compiled blocks bind the fast handlers and inline the load-hit tag
-check. See ``docs/memsys-fastpath.md``.
+``REPRO_MEMFAST=1`` in the environment. See
+``docs/memsys-fastpath.md``.
 """
 
 from repro.memfast.attach import (MemfastState, attach_design,

@@ -1,27 +1,24 @@
 """Attaching the fast hit-path tier to a memory system.
 
-The tier is the same *instance-attribute shadowing* the trace recorder,
-invariant checker, and JIT use - zero overhead when off, and a strict
+The tier is the same *instance-attribute shadowing* the trace recorder
+and invariant checker use - zero overhead when off, and a strict
 pecking order when observability is in play:
 
 * :func:`attach_memfast` **refuses** (returns ``None``) when the trace
   recorder has wrapped ``core.run_chunk`` or anything has shadowed the
   design's ``load``/``store``/``store_masked`` (recorder or invariant
   checker): those wrappers must see every call, so they always win.
-* :func:`detach_memfast` restores the pristine design methods - and
-  detaches a live JIT with it, because compiled code binds the fast
-  handlers directly and would otherwise keep calling them.
+* :func:`detach_memfast` restores the pristine design methods and
+  removes the chunk-end flush wrapper.
 * :meth:`~repro.obs.recorder.attach_trace` detaches the fast path
-  before instrumenting, mirroring how it already detaches the JIT.
-* The batch tier (:mod:`repro.batch`) slots in *above* jit+memfast and
+  before instrumenting.
+* The batch tier (:mod:`repro.batch`) slots in *above* memfast and
   *below* the recorder/checker: its engine never batches instrumented
-  runs, its :class:`~repro.batch.replay.ReplayCore` carries a
-  ``_replay`` marker that makes ``attach_jit`` stand down, and memfast
-  is the one tier it composes with - each replay instance attaches the
-  fast handlers to its own design (``attach_memfast`` works unchanged
-  because a fresh ``ReplayCore`` has nothing shadowing ``run_chunk``),
-  and :func:`finish_memfast` wraps ``ReplayCore.run_chunk`` like any
-  other.
+  runs, and memfast is the one tier it composes with - each replay
+  instance attaches the fast handlers to its own design
+  (``attach_memfast`` works unchanged because a fresh ``ReplayCore``
+  has nothing shadowing ``run_chunk``), and :func:`finish_memfast`
+  wraps ``ReplayCore.run_chunk`` like any other.
 
 Deferred-stats discipline (the heart of bit-exactness): the handlers
 batch the hit counters, hit energies, and the LRU stamp in
@@ -34,8 +31,8 @@ those fields outside the handlers is bracketed with ``flush()`` /
   them;
 * ``flush_for_checkpoint`` / ``on_boot`` / ``finalize`` - the
   checkpoint protocol both reads and adds energies;
-* chunk end - :func:`finish_memfast` wraps ``core.run_chunk`` (around
-  the interpreter *or* the JIT dispatcher) so the per-chunk capacitor
+* chunk end - :func:`finish_memfast` wraps ``core.run_chunk`` (the
+  interpreter's or a ``ReplayCore``'s) so the per-chunk capacitor
   accounting in ``System.run`` always reads exact values.
 
 ``flush`` adds the integer hit deltas to both stat fields they cover
@@ -88,8 +85,8 @@ class MemfastState:
         self.acc: list = [0, 0, 0.0, 0.0, 0]
         self.installed: list[tuple[str, object]] = []
         self.fast_store = False
-        #: "wl" / "wb" when the store hit path is fast, else None; keys
-        #: the JIT's compiled-module variant (which store hit it inlines)
+        #: "wl" / "wb" when the store hit path is fast, else None; picks
+        #: the store probe the lockstep engine inlines
         self.store_shape: str | None = None
         #: the bracketed slow paths the fast handlers bail to - kept
         #: addressable so the lockstep engine (which inlines the *full*
@@ -127,12 +124,12 @@ class MemfastState:
         acc[3] = stats.cache_write_energy_nj
         acc[4] = self.design.array._stamp
 
-    # -- jit integration -----------------------------------------------
+    # -- lockstep integration ------------------------------------------
     def jit_bindings(self) -> tuple:
-        """Runtime bindings for the JIT's inline hit checks (the ``_mf``
-        tuple unpacked by memfast-mode compiled modules). ``pending`` is
-        the WL-Cache ACK deque (None for other designs - the "wb"/"base"
-        shaped modules never touch it)."""
+        """Runtime bindings for inline hit checks, read by the lockstep
+        engine's slot builder. ``pending`` is the WL-Cache ACK deque
+        (None for other designs - the "wb"/"base" probes never touch
+        it)."""
         m = self.design
         array = m.array
         return (array.mru, self.acc, array.line_shift, array.set_mask,
@@ -151,7 +148,6 @@ def _bracket(fn, flush, resync):
             return _fn(*args, **kwargs)
         finally:
             _resync()
-    call._memfast = True
     return call
 
 
@@ -232,12 +228,11 @@ def detach_design(m) -> bool:
 def attach_memfast(system) -> MemfastState | None:
     """Attach the fast tier to a system's design (observability wins).
 
-    Call :func:`finish_memfast` after any :func:`~repro.jit.attach_jit`
-    so the chunk-end flush wraps whichever ``run_chunk`` ended up
-    installed.
+    Call :func:`finish_memfast` afterwards to wrap ``run_chunk`` with
+    the chunk-end flush.
     """
     if "run_chunk" in vars(system.core):
-        return None  # trace recorder (or a pre-attached JIT) owns it
+        return None  # the trace recorder owns it
     return attach_design(system.design)
 
 
@@ -255,7 +250,7 @@ def finish_memfast(system) -> None:
     rc = vars(core).get("run_chunk")
     if rc is not None and getattr(rc, "_memfast", False):
         return  # already wrapped
-    inner = core.run_chunk  # interpreter method or the JIT dispatcher
+    inner = core.run_chunk
 
     def run_chunk(max_instrs, _inner=inner, _flush=state.flush):
         try:
@@ -268,9 +263,8 @@ def finish_memfast(system) -> None:
 
 
 def detach_memfast(system) -> bool:
-    """Detach the fast tier from a system: the run_chunk flush wrapper,
-    a live JIT (its compiled tables bound the fast handlers), and the
-    design handlers. Returns True if anything was detached."""
+    """Detach the fast tier from a system: the run_chunk flush wrapper
+    and the design handlers. Returns True if anything was detached."""
     core = system.core
     state = getattr(system.design, "_memfast_state", None)
     if state is None:
@@ -278,8 +272,4 @@ def detach_memfast(system) -> bool:
     rc = vars(core).get("run_chunk")
     if rc is not None and getattr(rc, "_memfast", False):
         del core.run_chunk
-    if getattr(core, "_jit_state", None) is not None:
-        if "run_chunk" in vars(core):
-            del core.run_chunk
-        del core._jit_state
     return detach_design(system.design)

@@ -414,17 +414,13 @@ def attach_trace(system, recorder: TraceRecorder | None = None,
     The recorder is reachable afterwards as ``system._trace_recorder``;
     :meth:`System.run` publishes its metrics into ``RunResult.metrics``.
 
-    If the core has already been JIT-compiled or the memfast tier is
-    attached, both are detached first: compiled blocks and the fast
-    handlers bind the memory-system methods directly and would bypass
-    the wrappers installed here, so tracing always wins.
+    If the memfast tier is attached it is detached first: the fast
+    handlers replace the memory-system methods and would bypass the
+    wrappers installed here, so tracing always wins.
     """
     if getattr(system.design, "_memfast_state", None) is not None:
         from repro.memfast import detach_memfast
-        detach_memfast(system)  # takes a live JIT down with it
-    if getattr(system.core, "_jit_state", None) is not None:
-        from repro.jit import detach_jit
-        detach_jit(system.core)
+        detach_memfast(system)
     rec = recorder if recorder is not None else TraceRecorder(detail=detail)
     rec.attach(system)
     system._trace_recorder = rec

@@ -111,20 +111,9 @@ def build_system(program: Program, design_name: str,
         from repro.obs.recorder import attach_trace
         attach_trace(system)
     if policy.memfast:
-        from repro.memfast import attach_memfast
-        # handlers go on before the JIT so compiled blocks bind them;
+        from repro.memfast import attach_memfast, finish_memfast
         # under trace/check shadowing it silently stays off
         attach_memfast(system)
-    if policy.jit:
-        from repro.jit import attach_jit
-        # attached after memfast (whose handlers it cooperates with) but
-        # yielding to any instrumentation wrappers: under trace/check it
-        # silently stays off
-        attach_jit(system.core)
-    if policy.memfast:
-        from repro.memfast import finish_memfast
-        # the chunk-end flush wraps whichever run_chunk won: interpreter
-        # or JIT dispatcher
         finish_memfast(system)
     return system
 

@@ -37,10 +37,10 @@ from dataclasses import dataclass, field
 from repro.errors import ConfigError, SweepError
 from repro.sim.config import SimConfig
 from repro.sim.factory import run_one, validate_design
-from repro.sim.policy import (BATCH_ENV, CHECK_ENV, JIT_ENV,
-                              LEGACY_STORE_ENV, LOCKSTEP_ENV, MEMFAST_ENV,
-                              RESULT_MEMO_ENV, STORE_ENV, TRACE_ENV,
-                              ExecutionPolicy, resolve)
+from repro.sim.policy import (BATCH_ENV, CHECK_ENV, LEGACY_STORE_ENV,
+                              LOCKSTEP_ENV, MEMFAST_ENV, RESULT_MEMO_ENV,
+                              STORE_ENV, TRACE_ENV, ExecutionPolicy,
+                              resolve)
 from repro.sim.results import RunResult
 from repro.workloads import build_workload, get_workload, verify_checks
 
@@ -200,12 +200,11 @@ def _run_shared(task: SweepTask, policy: ExecutionPolicy) -> RunResult:
 
 #: The variables shipped to pool workers, in :func:`worker_initargs`
 #: order.
-_WORKER_ENV = (CHECK_ENV, TRACE_ENV, JIT_ENV, MEMFAST_ENV, BATCH_ENV,
-               LOCKSTEP_ENV, LEGACY_STORE_ENV, STORE_ENV, RESULT_MEMO_ENV)
+_WORKER_ENV = (CHECK_ENV, TRACE_ENV, MEMFAST_ENV, BATCH_ENV, LOCKSTEP_ENV,
+               LEGACY_STORE_ENV, STORE_ENV, RESULT_MEMO_ENV)
 
 
 def _init_worker(check_env: str | None, trace_env: str | None,
-                 jit_env: str | None = None,
                  memfast_env: str | None = None,
                  batch_env: str | None = None,
                  lockstep_env: str | None = None,
@@ -216,20 +215,20 @@ def _init_worker(check_env: str | None, trace_env: str | None,
 
     Pools spawned with a non-fork start method begin from a fresh
     interpreter whose environment may not mirror the parent's, so the
-    invariant-checking (REPRO_CHECK), tracing (REPRO_TRACE), JIT
-    (REPRO_JIT), fast-path (REPRO_MEMFAST), batch (REPRO_BATCH), and
-    lockstep (REPRO_LOCKSTEP) switches are shipped explicitly - a
-    checked/traced/JITted/batched parallel sweep must apply them in
-    every worker, not just the parent. The persistent artifact store
-    switches ride along too - the store root (REPRO_CACHE_DIR and its
-    legacy alias REPRO_STREAM_CACHE) and the result memo
-    (REPRO_RESULT_CACHE) - so campaign shards record each kernel, render
-    each source, and simulate each point once across *processes*. The
-    worker's process-global JIT code cache and guest-stream cache then
-    warm once and serve all the tasks the worker executes.
+    invariant-checking (REPRO_CHECK), tracing (REPRO_TRACE), fast-path
+    (REPRO_MEMFAST), batch (REPRO_BATCH), and lockstep (REPRO_LOCKSTEP)
+    switches are shipped explicitly - a checked/traced/batched parallel
+    sweep must apply them in every worker, not just the parent. The
+    persistent artifact store switches ride along too - the store root
+    (REPRO_CACHE_DIR and its legacy alias REPRO_STREAM_CACHE) and the
+    result memo (REPRO_RESULT_CACHE) - so campaign shards record each
+    kernel, render each source, and simulate each point once across
+    *processes*. The worker's process-global record-mode code cache and
+    guest-stream cache then warm once and serve all the tasks the worker
+    executes.
     """
-    values = (check_env, trace_env, jit_env, memfast_env, batch_env,
-              lockstep_env, stream_cache_env, store_env, result_cache_env)
+    values = (check_env, trace_env, memfast_env, batch_env, lockstep_env,
+              stream_cache_env, store_env, result_cache_env)
     for var, value in zip(_WORKER_ENV, values):
         if value is None:
             os.environ.pop(var, None)

@@ -1,13 +1,12 @@
 """Execution policy: every opt-in tier switch, resolved in one place.
 
-Seven switches select how a run executes. Each is a :class:`~repro.sim.
+Six switches select how a run executes. Each is a :class:`~repro.sim.
 config.SimConfig` field plus a ``REPRO_*`` environment variable, and a
 switch is on when either is:
 
 ===============  ====================  ======================
 policy name      ``SimConfig`` field   environment variable
 ===============  ====================  ======================
-``jit``          ``jit``               ``REPRO_JIT``
 ``memfast``      ``memfast``           ``REPRO_MEMFAST``
 ``batch``        ``batch``             ``REPRO_BATCH``
 ``lockstep``     ``lockstep``          ``REPRO_LOCKSTEP``
@@ -31,7 +30,6 @@ from __future__ import annotations
 import os
 from typing import NamedTuple
 
-JIT_ENV = "REPRO_JIT"
 MEMFAST_ENV = "REPRO_MEMFAST"
 BATCH_ENV = "REPRO_BATCH"
 LOCKSTEP_ENV = "REPRO_LOCKSTEP"
@@ -47,7 +45,6 @@ LEGACY_STORE_ENV = "REPRO_STREAM_CACHE"
 
 #: policy name -> (``SimConfig`` field, environment variable)
 SWITCHES: dict[str, tuple[str, str]] = {
-    "jit": ("jit", JIT_ENV),
     "memfast": ("memfast", MEMFAST_ENV),
     "batch": ("batch", BATCH_ENV),
     "lockstep": ("lockstep", LOCKSTEP_ENV),
@@ -69,7 +66,6 @@ class ExecutionPolicy(NamedTuple):
     process imports this module, and a tuple class is several times
     cheaper to create."""
 
-    jit: bool = False
     memfast: bool = False
     batch: bool = False
     lockstep: bool = False
@@ -81,8 +77,8 @@ class ExecutionPolicy(NamedTuple):
     def observed(self) -> bool:
         """The trace recorder or the invariant checker is on. Both must
         see every memory call and chunk, so batch replay, lockstep and
-        the result memo stand down (jit and memfast stand down by
-        themselves when they find the wrapped methods)."""
+        the result memo stand down (memfast stands down by itself when
+        it finds the wrapped methods)."""
         return self.trace or self.check
 
     @property

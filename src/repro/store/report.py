@@ -3,7 +3,7 @@
 ``repro cache stats`` and the warm-cache CI check read everything
 through :func:`cache_report`: the store's on-disk usage per artifact
 class, this process's store event counters, and the sizes/counters of
-every in-memory process-global cache (jit code cache, memfast handler
+every in-memory process-global cache (record-mode code cache, memfast handler
 sources, lockstep engines, batch streams, stream expansion metadata,
 the shared decode memo, the A009 loaded-source ledger, and the serial
 sweep's shared live results).

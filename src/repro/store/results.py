@@ -20,7 +20,7 @@ written by a ``verify=True`` run satisfies a later ``verify=True``
 lookup without re-simulating, while a ``verify=True`` lookup *ignores*
 unverified entries. Trace-recorder and invariant-checker runs are never
 memoized (their side channels - metrics, check counts - are the point
-of the run), mirroring the jit/memfast/batch stand-down rules.
+of the run), mirroring the memfast/batch stand-down rules.
 
 Keys embed :func:`repro.store.keys.package_fingerprint` - the content
 hash of the whole ``repro`` package - so *any* code change invalidates

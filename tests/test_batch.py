@@ -6,9 +6,9 @@ grid tier-2).
 The bit-level differential over randomized sweep grids lives in
 ``tests/test_batch_differential.py``; this file pins *when* the batch
 tier engages, when it must silently stand down (observability and
-checking always win), when a kernel bails to the jit+memfast slow path,
-and that the replay core's System-facing surface matches the interpreter
-chunk for chunk.
+checking always win), when a kernel bails to the slow path, that the
+record-mode code cache is shared, and that the replay core's
+System-facing surface matches the interpreter chunk for chunk.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from repro.batch import (RecordingBail, ReplayCore, batch_enabled,
                          resolve_config, task_batchable)
 from repro.cpu.core import InOrderCore
 from repro.isa.builder import ProgramBuilder
-from repro.jit import attach_jit
+from repro.jit import clear_code_cache, code_cache_stats, get_compiled
 from repro.mem.memsys import NoCacheNVP
 from repro.mem.nvm import NVMainMemory
 from repro.sim.config import DESIGNS, SimConfig
@@ -76,16 +76,6 @@ def test_invariant_checker_outranks_batch(monkeypatch):
                                         check_invariants=True))
     monkeypatch.setenv("REPRO_CHECK", "1")
     assert not task_batchable(SimConfig(batch=True))
-
-
-def test_jit_refuses_replay_core():
-    prog = build_workload("sha", 0.2)
-    config = SimConfig(batch=True)
-    costs = effective_costs("WL-Cache", config)
-    stream = get_stream(prog, costs, config.max_instructions)
-    system = build_replay_system(prog, _task(), config, stream)
-    assert isinstance(system.core, ReplayCore)
-    assert attach_jit(system.core) is None  # batch outranks jit
 
 
 def test_memfast_composes_with_replay():
@@ -235,6 +225,50 @@ def test_families_share_recording_and_skeleton():
     # the per-family halves differ: NVCache-WB's ifetch_extra shifts
     # every static fetch cost
     assert list(s1.cum_cycles) != list(s2.cum_cycles)
+
+
+# ---------------------------------------------------------------------------
+# record-mode code cache
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def fresh_code_cache():
+    clear_code_cache()
+    yield
+    clear_code_cache()
+
+
+def test_code_cache_shared_across_recordings(fresh_code_cache):
+    # a fresh program: build_workload memoizes Program objects, whose
+    # per-program shortcut would hide the process-global cache
+    prog = build_sum_program(200)
+    first = record_run(prog, _costs(), 10_000_000)
+    second = record_run(prog, _costs(), 10_000_000)
+    stats = code_cache_stats()
+    assert stats["compiles"] == 1 and stats["hits"] >= 1
+    assert first == second
+
+
+def test_code_cache_shared_across_program_rebuilds(fresh_code_cache):
+    # sweep workers rebuild Program objects; the content key must hit
+    # even when the per-program meta shortcut is cold
+    import copy
+    a = copy.deepcopy(build_workload("qsort", 0.2))
+    a.meta.clear()
+    b = copy.deepcopy(a)
+    get_compiled(a, _costs())
+    get_compiled(b, _costs())
+    stats = code_cache_stats()
+    assert stats["compiles"] == 1 and stats["hits"] == 1
+
+
+def test_distinct_costs_compile_separately(fresh_code_cache):
+    from dataclasses import replace
+    prog = build_sum_program()
+    costs = _costs()
+    get_compiled(prog, costs)
+    get_compiled(prog, replace(costs, mem_issue=costs.mem_issue + 1))
+    assert code_cache_stats()["compiles"] == 2
 
 
 def test_build_stream_cross_checks_recorded_cycles():

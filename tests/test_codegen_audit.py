@@ -1,10 +1,10 @@
-"""The static codegen auditor (A001-A007): every contract gets a clean
+"""The static codegen auditor (A001-A008): every contract gets a clean
 case and at least one seeded mutation it must catch.
 
 The synthetic-module tests feed hand-written sources shaped like the
-JIT emitter's output through :func:`audit_module_source`, so each
-contract is exercised in isolation; the integration tests then audit
-real compiled output (and tampered copies of it) end to end.
+record-mode emitter's output through :func:`audit_module_source`, so
+each contract is exercised in isolation; the integration tests then
+audit real compiled output (and tampered copies of it) end to end.
 """
 
 import pathlib
@@ -18,7 +18,7 @@ from repro.lint.codegen_audit import (_audit_handler_source, audit_compiled,
                                       audit_replay_module, audit_suite)
 from repro.sim.config import DESIGNS, SimConfig
 from repro.sim.factory import build_system
-from repro.workloads import build_workload
+from repro.workloads import ALL_WORKLOADS, build_workload
 
 
 def rules_of(findings) -> set[str]:
@@ -26,39 +26,35 @@ def rules_of(findings) -> set[str]:
 
 
 # a minimal module in the emitter's shape: one 2-instruction block that
-# flushes the full exit state and is declared in the dispatch table
+# flushes the full exit state, appends its exit code, and is declared in
+# the dispatch table
 CLEAN_BLOCK = """\
-def _bind(_load, _store, _EE):
+def _bind(_load, _store, _EE, _q):
     def _b0(st, m):
         st[0] = st[0] + 3
-        st[1] = 7
-        st[7] = 2
+        st[1] = 2
+        _q.append(0)
         return 2
     _table = [None] * 4
     _table[0] = (_b0, 2)
     return _table
 """
 
-CLEAN_RECORD = CLEAN_BLOCK.replace(
-    "def _bind(_load, _store, _EE):",
-    "def _bind(_load, _store, _EE, _q):").replace(
-    "        return 2", "        _q.append(0)\n        return 2")
-
 
 class TestExitStateContract:
-    """A001: every exit flushes st[0]/st[1]/st[7]; indices stay 0..8."""
+    """A001: every exit flushes st[0]/st[1]; indices stay 0..2."""
 
     def test_clean_module(self):
         assert audit_module_source(CLEAN_BLOCK, "t") == []
 
     def test_missing_slot_flush(self):
-        bad = CLEAN_BLOCK.replace("        st[1] = 7\n", "")
+        bad = CLEAN_BLOCK.replace("        st[1] = 2\n", "")
         findings = audit_module_source(bad, "t")
         assert rules_of(findings) == {"A001"}
         assert "st[1]" in findings[0].message
 
     def test_out_of_range_slot(self):
-        bad = CLEAN_BLOCK.replace("st[7] = 2", "st[7] = 2\n        st[9] = 0")
+        bad = CLEAN_BLOCK.replace("st[1] = 2", "st[1] = 2\n        st[9] = 0")
         assert "A001" in rules_of(audit_module_source(bad, "t"))
 
     def test_fault_path_must_flush_too(self):
@@ -73,30 +69,13 @@ class TestExitStateContract:
 
 
 class TestRetireCountContract:
-    """A002: st[7] at each exit matches the declared block length."""
+    """A002: st[1] at each exit matches the declared block length."""
 
     def test_block_exit_must_retire_declared(self):
-        bad = CLEAN_BLOCK.replace("st[7] = 2", "st[7] = 3")
+        bad = CLEAN_BLOCK.replace("st[1] = 2", "st[1] = 3")
         findings = audit_module_source(bad, "t")
         assert rules_of(findings) == {"A002"}
         assert "declares length 2" in findings[0].message
-
-    def test_trace_side_exits_may_retire_partially(self):
-        src = """\
-def _bind(_EE):
-    def _t0(st, m):
-        st[0] = 1
-        st[1] = 0
-        if m:
-            st[7] = 1
-            return 9
-        st[7] = 4
-        return None
-    return (_t0, 4)
-"""
-        assert audit_module_source(src, "t") == []
-        over = src.replace("st[7] = 4", "st[7] = 5")
-        assert rules_of(audit_module_source(over, "t")) == {"A002"}
 
     def test_fault_retires_at_least_one(self):
         src = """\
@@ -104,7 +83,6 @@ def _bind(_EE):
     def _b0(st, m):
         st[0] = 1
         st[1] = 0
-        st[7] = 0
         raise _EE
     _table = [None]
     _table[0] = (_b0, 2)
@@ -114,63 +92,32 @@ def _bind(_EE):
 
 
 class TestRecordExitCodes:
-    """A003: record modules append exactly one valid code per return."""
+    """A003: every return appends exactly one valid exit code."""
 
     def test_clean_record_module(self):
-        assert audit_module_source(CLEAN_RECORD, "t", record=True) == []
+        assert audit_module_source(CLEAN_BLOCK, "t") == []
 
     def test_missing_append(self):
-        bad = CLEAN_RECORD.replace("        _q.append(0)\n", "")
-        findings = audit_module_source(bad, "t", record=True)
+        bad = CLEAN_BLOCK.replace("        _q.append(0)\n", "")
+        findings = audit_module_source(bad, "t")
         assert rules_of(findings) == {"A003"}
         assert "0 exit codes" in findings[0].message
 
     def test_doubled_append(self):
-        bad = CLEAN_RECORD.replace("_q.append(0)",
-                                   "_q.append(0)\n        _q.append(0)")
-        assert rules_of(audit_module_source(bad, "t", record=True)) == \
-            {"A003"}
+        bad = CLEAN_BLOCK.replace("_q.append(0)",
+                                  "_q.append(0)\n        _q.append(0)")
+        assert rules_of(audit_module_source(bad, "t")) == {"A003"}
 
     def test_wrong_code(self):
         # block 0 may only emit 0 (fallthrough) or 1 (taken)
-        bad = CLEAN_RECORD.replace("_q.append(0)", "_q.append(5)")
-        findings = audit_module_source(bad, "t", record=True)
+        bad = CLEAN_BLOCK.replace("_q.append(0)", "_q.append(5)")
+        findings = audit_module_source(bad, "t")
         assert rules_of(findings) == {"A003"}
         assert "2*0" in findings[0].message
 
-    def test_non_record_module_must_not_touch_queue(self):
-        bad = CLEAN_BLOCK.replace("return 2", "_q.append(0)\n        return 2")
-        findings = audit_module_source(bad, "t", record=False)
-        assert "A003" in rules_of(findings)
-
 
 class TestBailBeforeMutate:
-    """A004: both halves - JIT tag guards and handler bail ordering."""
-
-    JIT = """\
-def _bind(_acc):
-    def _b0(st, line, lineno):
-        st[0] = 1
-        st[1] = 0
-        st[7] = 1
-        if line.tag == lineno:
-            _acc[0] += 1
-        return 1
-    _table = [None]
-    _table[0] = (_b0, 1)
-    return _table
-"""
-
-    def test_guarded_accumulator_ok(self):
-        assert audit_module_source(self.JIT, "t") == []
-
-    def test_unguarded_accumulator_flagged(self):
-        bad = self.JIT.replace(
-            "        if line.tag == lineno:\n            _acc[0] += 1",
-            "        _acc[0] += 1")
-        findings = audit_module_source(bad, "t")
-        assert rules_of(findings) == {"A004"}
-        assert "_acc" in findings[0].message
+    """A004: handler bails precede every state mutation."""
 
     HANDLER = """\
 def _make(_mru, _acc, _slow):
@@ -220,13 +167,13 @@ class TestAmbientState:
         assert "A006" in rules_of(audit_module_source(bad, "t"))
 
     def test_unbound_name_flagged(self):
-        bad = CLEAN_BLOCK.replace("st[1] = 7", "st[1] = time()")
+        bad = CLEAN_BLOCK.replace("st[1] = 2", "st[1] = time()")
         findings = audit_module_source(bad, "t")
         assert rules_of(findings) == {"A006"}
         assert "'time'" in findings[0].message
 
     def test_allowlisted_builtins_ok(self):
-        src = CLEAN_BLOCK.replace("st[1] = 7", "st[1] = len(m)")
+        src = CLEAN_BLOCK.replace("st[1] = 2", "st[1] = len(m)")
         assert audit_module_source(src, "t") == []
 
 
@@ -247,17 +194,18 @@ def tiny_program(name="auditprobe"):
 class TestRealCodegen:
     """The actual emitters satisfy their own contracts."""
 
-    def test_block_module_clean(self):
-        prog = tiny_program()
-        src, _meta = compile_blocks_source(prog, SimConfig().costs,
-                                           False, False)
-        assert audit_module_source(src, "t") == []
-
     def test_record_module_clean(self):
         prog = tiny_program()
-        src, _meta = compile_blocks_source(prog, SimConfig().costs,
-                                           False, True)
-        assert audit_module_source(src, "t", record=True) == []
+        src = compile_blocks_source(prog, SimConfig().costs)
+        assert audit_module_source(src, "t") == []
+
+    def test_block_module_clean(self):
+        # every block shape the suite exercises (loops, calls, div, mulh,
+        # byte and half-word accesses), not just the tiny probe's
+        costs = SimConfig().costs
+        for name in ALL_WORKLOADS:
+            src = compile_blocks_source(build_workload(name, 0.05), costs)
+            assert audit_module_source(src, name) == [], name
 
     def test_audit_compiled_clean(self):
         compiled = get_compiled(tiny_program(), SimConfig().costs)
@@ -322,14 +270,14 @@ class TestLiveSystems:
         prog = build_workload("sha", 0.2)
         for design in DESIGNS:
             system = build_system(prog, design, None,
-                                  SimConfig(jit=True, memfast=True))
+                                  SimConfig(memfast=True))
             system.run()
             assert audit_memfast_design(system.design) == [], design
 
     def test_tampered_handler_fails_keying_check(self):
         prog = build_workload("sha", 0.2)
         system = build_system(prog, DESIGNS[0], None,
-                              SimConfig(jit=True, memfast=True))
+                              SimConfig(memfast=True))
         system.run()
         m = system.design
         if getattr(m, "_memfast_state", None) is None:
@@ -411,7 +359,7 @@ class TestLockstepEngineContract:
         from repro.sim.sweep import run_grid
         clear_streams()
         run_grid(("sha",), ("WL-Cache", "NVSRAM(ideal)", "WT+Buffer"),
-                 "trace1", jobs=1, scale=0.2, jit=True, memfast=True,
-                 batch=True, lockstep=True)
+                 "trace1", jobs=1, scale=0.2, memfast=True, batch=True,
+                 lockstep=True)
         assert engine_sources(), "lockstep run retained no engines"
         assert audit_lockstep_engines() == []

@@ -1,12 +1,11 @@
 """Structural tests of the memsys fast path: attach/detach/refusal rules,
-the observability pecking order, JIT cooperation, and RunResult equality.
+the observability pecking order, and RunResult equality.
 
 The bit-level differential over randomized access sequences lives in
 ``tests/test_memfast_differential.py``; this file pins the *engagement*
 rules: when the fast tier turns on, when it must silently stand down
-(trace recorder and invariant checker always win), that detaching
-restores the pristine design, and that the JIT's memfast-mode modules
-are keyed by store family.
+(trace recorder and invariant checker always win), and that detaching
+restores the pristine design and interpreter.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import os
 
 import pytest
 
-from repro.jit import clear_code_cache, detach_jit
 from repro.memfast import (attach_design, attach_memfast, detach_design,
                            detach_memfast, memfast_enabled)
 from repro.sim.config import DESIGNS, SimConfig
@@ -35,13 +33,6 @@ FAST_STORE_SHAPES = {
 LOAD_ONLY = ("VCache-WT", "ReplayCache")
 #: designs the tier refuses outright (custom load path or no array)
 REFUSED = ("NoCache", "WT+Buffer", "NVSRAM(practical)")
-
-
-@pytest.fixture(autouse=True)
-def _fresh_cache():
-    clear_code_cache()
-    yield
-    clear_code_cache()
 
 
 def _system(design="WL-Cache", app="sha", scale=0.2, **overrides):
@@ -68,7 +59,8 @@ def test_load_only_designs_attach_with_slow_stores(design):
     assert state is not None and not state.fast_store
     assert state.store_shape is None
     # the installed store is the bracketed slow path, not a fast handler
-    assert getattr(system.design.store, "_memfast", False)
+    assert "store" in vars(system.design)
+    assert not hasattr(system.design.store, "_memfast_source")
 
 
 @pytest.mark.parametrize("design", REFUSED)
@@ -132,39 +124,23 @@ def test_invariant_checker_wins_over_memfast():
                                    SimConfig(check_invariants=True))
 
 
-def test_attach_trace_detaches_live_memfast_and_jit():
+def test_attach_trace_detaches_live_memfast():
     from repro.obs.recorder import attach_trace
     prog = build_workload("sha", 0.2)
-    system = build_system(prog, "WL-Cache", None,
-                          SimConfig(jit=True, memfast=True))
+    system = build_system(prog, "WL-Cache", None, SimConfig(memfast=True))
     assert getattr(system.design, "_memfast_state", None) is not None
-    assert getattr(system.core, "_jit_state", None) is not None
     attach_trace(system)
     assert getattr(system.design, "_memfast_state", None) is None
-    assert getattr(system.core, "_jit_state", None) is None
     assert system.run() == run_one(prog, "WL-Cache", None,
                                    SimConfig(trace=True))
 
 
-def test_detach_memfast_takes_live_jit_down():
+def test_detach_memfast_restores_interpreter():
     prog = build_workload("sha", 0.2)
-    system = build_system(prog, "WL-Cache", None,
-                          SimConfig(jit=True, memfast=True))
+    system = build_system(prog, "WL-Cache", None, SimConfig(memfast=True))
     assert detach_memfast(system) is True
-    # the JIT's compiled tables bound the fast handlers, so it must go too
-    assert getattr(system.core, "_jit_state", None) is None
+    # the chunk-end flush wrapper comes off with the handlers
     assert "run_chunk" not in vars(system.core)
-    assert system.run() == run_one(prog, "WL-Cache", None, SimConfig())
-
-
-def test_detach_jit_takes_memfast_down():
-    prog = build_workload("sha", 0.2)
-    system = build_system(prog, "WL-Cache", None,
-                          SimConfig(jit=True, memfast=True))
-    assert detach_jit(system.core) is True
-    # the interpreter would bind fast handlers with no chunk-end flush,
-    # so detaching the JIT detaches the design tier with it
-    assert getattr(system.design, "_memfast_state", None) is None
     assert system.run() == run_one(prog, "WL-Cache", None, SimConfig())
 
 
@@ -177,35 +153,10 @@ def test_env_var_enables_memfast(monkeypatch):
     assert not memfast_enabled()
 
 
-def test_chunk_flush_wraps_jit_dispatcher():
-    system = _system(jit=True, memfast=True)
+def test_chunk_flush_wraps_interpreter():
+    system = _system(memfast=True)
     rc = vars(system.core)["run_chunk"]
-    assert getattr(rc, "_memfast", False)  # flush wrapper is outermost
-    assert getattr(system.core, "_jit_state", None) is not None
-
-
-# ---------------------------------------------------------------------------
-# JIT code cache: memfast modules are per store family
-# ---------------------------------------------------------------------------
-
-def test_jit_modules_keyed_by_store_family():
-    from tests.conftest import build_sum_program
-    from repro.jit import code_cache_stats
-    # a fresh (non-memoized) program: build_workload caches Program
-    # objects, whose per-program compile shortcut would hide the keying
-    prog = build_sum_program()
-    # same program: plain, WL-shaped, and WB-shaped modules are distinct
-    build_system(prog, "WL-Cache", None, SimConfig(jit=True))
-    assert code_cache_stats()["compiles"] == 1
-    build_system(prog, "WL-Cache", None, SimConfig(jit=True, memfast=True))
-    assert code_cache_stats()["compiles"] == 2
-    build_system(prog, "NVSRAM(ideal)", None,
-                 SimConfig(jit=True, memfast=True))
-    assert code_cache_stats()["compiles"] == 3
-    # ...and each variant is shared on re-attach
-    build_system(prog, "WL-Cache(eager)", None,
-                 SimConfig(jit=True, memfast=True))
-    assert code_cache_stats()["compiles"] == 3
+    assert getattr(rc, "_memfast", False)  # the chunk-end flush wrapper
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +169,8 @@ def test_run_results_identical_reduced_grid(app, trace):
     prog = build_workload(app, 0.2)
     for design in DESIGNS:
         ref = run_one(prog, design, trace, SimConfig())
-        for cfg in (SimConfig(memfast=True),
-                    SimConfig(jit=True, memfast=True)):
-            assert run_one(prog, design, trace, cfg) == ref, \
-                f"{app}/{design}/{trace}/{cfg}"
+        fast = run_one(prog, design, trace, SimConfig(memfast=True))
+        assert fast == ref, f"{app}/{design}/{trace}"
 
 
 @pytest.mark.skipif(not os.environ.get("REPRO_TIER2"),
@@ -231,16 +180,13 @@ def test_run_results_identical_full_grid():
         prog = build_workload(app, 1.0)
         for design in DESIGNS:
             ref = run_one(prog, design, "trace1", SimConfig())
-            fast = run_one(prog, design, "trace1",
-                           SimConfig(jit=True, memfast=True))
+            fast = run_one(prog, design, "trace1", SimConfig(memfast=True))
             assert fast == ref, f"{app}/{design}"
 
 
 def test_parallel_sweep_with_memfast_env(monkeypatch):
     monkeypatch.setenv("REPRO_MEMFAST", "1")
-    monkeypatch.setenv("REPRO_JIT", "1")
     fast = run_grid(("sha",), ("WL-Cache",), "trace1", jobs=2, scale=0.2)
     monkeypatch.delenv("REPRO_MEMFAST")
-    monkeypatch.delenv("REPRO_JIT")
     ref = run_grid(("sha",), ("WL-Cache",), "trace1", jobs=1, scale=0.2)
     assert fast == ref

@@ -15,7 +15,6 @@ from repro.sim.policy import SWITCHES, ExecutionPolicy, resolve
 
 #: policy name -> (module, helper) of the tier's own ``*_enabled``
 HELPERS = {
-    "jit": ("repro.jit.dispatch", "jit_enabled"),
     "memfast": ("repro.memfast.attach", "memfast_enabled"),
     "batch": ("repro.batch.engine", "batch_enabled"),
     "lockstep": ("repro.lockstep", "lockstep_enabled"),
@@ -31,6 +30,7 @@ ENV_VALUES = {None: False, "": False, "0": False, " 0 ": False,
 
 def test_every_switch_has_a_helper():
     assert set(HELPERS) == set(SWITCHES)
+    assert ExecutionPolicy._fields == tuple(SWITCHES)
     assert {f for f, _ in SWITCHES.values()} <= set(
         SimConfig.__dataclass_fields__)
 
@@ -136,13 +136,12 @@ _BUILD = ("from repro.sim.config import SimConfig\n"
 
 
 @pytest.mark.parametrize("env,config,attached,package", [
-    ({"REPRO_JIT": "1"}, "None", "system.core._jit_state", "repro.jit"),
     ({}, "SimConfig(memfast=True)", "system.design._memfast_state",
      "repro.memfast"),
     ({"REPRO_TRACE": "1"}, "None", "system._trace_recorder", "repro.obs"),
     ({}, "SimConfig(check_invariants=True)",
      "system.design._invariant_checker", "repro.lint"),
-], ids=["env-jit", "config-memfast", "env-trace", "config-check"])
+], ids=["config-memfast", "env-trace", "config-check"])
 def test_selected_tier_still_attaches(env, config, attached, package):
     code = _BUILD.format(config=config) + f"assert {attached} is not None\n"
     loaded = _loaded_after(code, REPRO_CACHE_DIR="off", **env)

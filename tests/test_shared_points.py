@@ -136,7 +136,8 @@ class TestNoSharingOffTheDefaultPath:
         assert_all_fresh(first, grid(jobs=2))
         assert shared_result_stats()["simulated"] == 0
 
-    @pytest.mark.parametrize("switch", ["jit", "trace", "check_invariants"])
+    @pytest.mark.parametrize("switch",
+                             ["memfast", "trace", "check_invariants"])
     def test_config_switch(self, switch):
         # ``trace`` is also run_grid's trace name, so switch via config
         config = SimConfig().with_(**{switch: True})
