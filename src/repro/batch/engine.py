@@ -46,6 +46,7 @@ from repro.sim.config import SimConfig
 from repro.sim.factory import build_design
 from repro.sim.parallel import task_config as resolve_config
 from repro.sim.policy import BATCH_ENV, LEGACY_STORE_ENV, env_flag, resolve
+from repro.sim.results import memory_image
 from repro.sim.system import System
 from repro.workloads import build_workload, verify_checks
 
@@ -69,11 +70,14 @@ CACHE_DIR_ENV = LEGACY_STORE_ENV
 _RECORDING_CACHE: dict[tuple, tuple] = {}
 _RECORDING_CACHE_CAP = 4
 
-#: (program content key, effective costs) -> GuestStream. Streams share
-#: their event list with the cached recording's skeleton, so the per-
-#: family entry adds only the cycle prefix sum.
+#: (program content key, effective costs) -> GuestStream, least recently
+#: used first. Streams share their event list with the cached recording's
+#: skeleton, so the per-family entry adds only the cycle prefix sum. The
+#: cap holds a whole 23-kernel grid in both cost families, so a figure
+#: bench that issues the suite in every ``run_grid`` call records each
+#: kernel once.
 _STREAM_CACHE: dict[tuple, GuestStream] = {}
-_STREAM_CACHE_CAP = 8
+_STREAM_CACHE_CAP = 64
 _STREAM_STATS = {"recordings": 0, "expansions": 0, "hits": 0, "bails": 0,
                  "replays": 0, "solo": 0, "lockstep": 0, "disk_hits": 0,
                  "disk_writes": 0}
@@ -225,8 +229,9 @@ def get_stream(program: Program, costs: CycleCosts,
     """
     ckey = program_content_key(program)
     key = (ckey, costs)
-    stream = _STREAM_CACHE.get(key)
+    stream = _STREAM_CACHE.pop(key, None)
     if stream is not None:
+        _STREAM_CACHE[key] = stream  # most recently used goes last
         _STREAM_STATS["hits"] += 1
         return stream
     recording = _RECORDING_CACHE.get(ckey)
@@ -266,7 +271,7 @@ def build_replay_system(program: Program, task, config: SimConfig,
     if isinstance(trace, str):
         trace = (make_trace(trace) if config.trace_seed is None
                  else make_trace(trace, config.trace_seed))
-    nvm = NVMainMemory(program.initial_memory(), config.nvm)
+    nvm = NVMainMemory.for_program(program, config.nvm)
     design = build_design(task.design, nvm, config)
     costs = effective_costs(task.design, config)
     system = System(program, design, config, trace, costs)
@@ -282,7 +287,7 @@ def _replay_task(program: Program, task, config: SimConfig,
 
     res = build_replay_system(program, task, config, stream).run()
     if task.verify:
-        verify_checks(program, res.final_memory)
+        verify_checks(program, memory_image(res))
     _STREAM_STATS["replays"] += 1
     store_task(task, res)
     return res
@@ -426,7 +431,7 @@ def _run_cluster(groups: list, run_slow: Callable) -> Iterator[tuple]:
     for task, outcome in results:
         if outcome[0] == "ok" and task.verify:
             try:
-                verify_checks(program, outcome[1].final_memory)
+                verify_checks(program, memory_image(outcome[1]))
             except Exception as exc:
                 outcome = ("err", exc, traceback.format_exc())
         if outcome[0] == "ok":

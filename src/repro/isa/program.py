@@ -6,11 +6,13 @@ separate I/D L1 caches); instruction fetches are modeled through the I-cache
 timing path but instructions themselves live in this container.
 
 Data memory is word-addressed internally; the initial image is a dict of
-``word_index -> 32-bit value`` applied on top of zero-filled NVM.
+``word_index -> 32-bit value`` applied on top of zero-filled NVM, and
+materialized as a packed ``array('I')``.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 from repro.errors import AssemblyError
@@ -84,9 +86,10 @@ class Program:
                     f"{self.name}: data value {val:#x} not a u32 at word {widx}"
                 )
 
-    def initial_memory(self) -> list[int]:
-        """Materialize the zero-filled word array with the data image applied."""
-        words = [0] * (self.mem_bytes // 4)
+    def initial_memory(self) -> array:
+        """Materialize the zero-filled ``array('I')`` image with the data
+        words applied."""
+        words = array("I", [0]) * (self.mem_bytes // 4)
         for widx, val in self.data.items():
             words[widx] = val
         return words

@@ -9,11 +9,55 @@ derived from the paper's tCK/tBURST/tRCD/tCL/tWR parameters.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 from repro.errors import ConfigError
 
 _U32 = 0xFFFFFFFF
+
+
+class PackedImage:
+    """A final memory image held packed: the words below ``top`` as an
+    ``array('I')`` plus the full word count; every word from ``top`` up is
+    zero.
+
+    Indexing and iteration read through to the implied zero tail, which
+    is all :func:`repro.workloads.suite.verify_checks` and the checker
+    need; a caller that wants the plain list pays for it with
+    :meth:`tolist`.
+    """
+
+    __slots__ = ("words", "size")
+
+    def __init__(self, words: array, size: int):
+        self.words = words
+        self.size = size
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, index: int) -> int:
+        if not 0 <= index < self.size:
+            raise IndexError("memory image index out of range")
+        return self.words[index] if index < len(self.words) else 0
+
+    def __iter__(self):
+        return chain(self.words, repeat(0, self.size - len(self.words)))
+
+    def matches(self, full: array) -> bool:
+        """True when ``full``, an ``array('I')`` of the same length, holds
+        the same image; compares at C speed."""
+        top = len(self.words)
+        return (memoryview(self.words) == memoryview(full)[:top]
+                and full[top:] == array("I", [0]) * (self.size - top))
+
+    def tolist(self) -> list[int]:
+        """The full image as a list allocated at its exact length."""
+        out = [0] * self.size
+        out[:len(self.words)] = self.words
+        return out
 
 
 @dataclass(frozen=True)
@@ -54,18 +98,31 @@ class NVMTimings:
 class NVMainMemory:
     """Word-addressable persistent memory with access accounting.
 
-    All cache designs share one instance per simulation; its ``words`` list
-    is the state that must match the failure-free oracle at the end of a
-    crashy run.
+    All cache designs share one instance per simulation; its ``words``
+    array is the state that must match the failure-free oracle at the end
+    of a crashy run. ``top`` is one past the highest word that can be
+    nonzero: it starts at the program's data extent (default: the whole
+    image) and every write raises it, so :meth:`image` trims the zero tail
+    without a scan.
     """
 
-    def __init__(self, words: list[int], timings: NVMTimings | None = None):
+    def __init__(self, words: array, timings: NVMTimings | None = None,
+                 top: int | None = None):
         self.words = words
+        self.top = len(words) if top is None else top
         self.timings = timings or NVMTimings()
         self.reads = 0  # word-read accesses
         self.writes = 0  # word-write accesses (write traffic)
         self.energy_read_nj = 0.0
         self.energy_write_nj = 0.0
+
+    @classmethod
+    def for_program(cls, program, timings: NVMTimings | None = None
+                    ) -> "NVMainMemory":
+        """A fresh memory holding ``program``'s initial image, with ``top``
+        at one past its highest data word."""
+        return cls(program.initial_memory(), timings,
+                   max(program.data, default=-1) + 1)
 
     # -- word granularity ------------------------------------------------
     def read_word(self, addr: int) -> tuple[int, int]:
@@ -76,7 +133,10 @@ class NVMainMemory:
 
     def write_word(self, addr: int, value: int) -> int:
         """Write a u32; returns cycles."""
-        self.words[addr >> 2] = value & _U32
+        widx = addr >> 2
+        self.words[widx] = value & _U32
+        if widx >= self.top:
+            self.top = widx + 1
         self.writes += 1
         self.energy_write_nj += self.timings.write_energy_nj
         return self.timings.write_word
@@ -84,6 +144,8 @@ class NVMainMemory:
     def write_word_masked(self, addr: int, bits: int, mask: int) -> int:
         widx = addr >> 2
         self.words[widx] = (self.words[widx] & ~mask) | (bits & mask)
+        if widx >= self.top:
+            self.top = widx + 1
         self.writes += 1
         self.energy_write_nj += self.timings.write_energy_nj
         return self.timings.write_word
@@ -100,11 +162,18 @@ class NVMainMemory:
     def write_line(self, addr: int, data: list[int]) -> int:
         """Write an aligned line; returns cycles."""
         widx = addr >> 2
-        self.words[widx:widx + len(data)] = data
+        end = widx + len(data)
+        self.words[widx:end] = array("I", data)
+        if end > self.top:
+            self.top = end
         self.writes += len(data)
         self.energy_write_nj += (self.timings.write_energy_nj * len(data)
                                  * self.timings.burst_energy_factor)
         return self.timings.line_write(len(data))
+
+    def image(self) -> PackedImage:
+        """A packed copy of the current contents, trimmed at ``top``."""
+        return PackedImage(self.words[:self.top], len(self.words))
 
     # ---------------------------------------------------------------------
     @property

@@ -96,7 +96,7 @@ def build_system(program: Program, design_name: str,
     if isinstance(trace, str):
         trace = (make_trace(trace) if config.trace_seed is None
                  else make_trace(trace, config.trace_seed))
-    nvm = NVMainMemory(program.initial_memory(), config.nvm)
+    nvm = NVMainMemory.for_program(program, config.nvm)
     design = build_design(design_name, nvm, config)
     # each opt-in tier package loads only when the policy selects it
     policy = resolve(config)

@@ -41,7 +41,7 @@ from repro.sim.policy import (BATCH_ENV, CHECK_ENV, LEGACY_STORE_ENV,
                               LOCKSTEP_ENV, MEMFAST_ENV, RESULT_MEMO_ENV,
                               STORE_ENV, TRACE_ENV, ExecutionPolicy,
                               resolve)
-from repro.sim.results import RunResult
+from repro.sim.results import RunResult, memory_image
 from repro.workloads import build_workload, get_workload, verify_checks
 
 #: ``progress(done, total, (workload, design))`` - called in the parent
@@ -141,7 +141,7 @@ def run_task(task: SweepTask,
     res = run_one(prog, task.design, task.trace, task.config,
                   **task.overrides)
     if task.verify:
-        verify_checks(prog, res.final_memory)
+        verify_checks(prog, memory_image(res))
     if policy.memoizes:
         from repro.store.results import store_task
         store_task(task, res)
@@ -189,7 +189,7 @@ def _run_shared(task: SweepTask, policy: ExecutionPolicy) -> RunResult:
         _SHARE_STATS["shared"] += 1
         if task.verify:
             verify_checks(build_workload(task.workload, task.scale),
-                          res.final_memory)
+                          memory_image(res))
         return res
     _SHARE_STATS["simulated"] += 1
     res = run_task(task, policy)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.mem.nvm import PackedImage
+
 
 @dataclass
 class PeriodStats:
@@ -46,6 +48,36 @@ class EnergyBreakdown:
             "checkpoint": self.checkpoint_nj,
             "discarded": self.discarded_nj,
         }
+
+
+class _FinalMemory:
+    """Descriptor behind :attr:`RunResult.final_memory`.
+
+    The simulator stores a :class:`~repro.mem.nvm.PackedImage` (the words
+    up to the highest one written, plus the full word count). The first
+    read builds the full-length list once and keeps it in place of the
+    packed form, so in-place edits persist; until then, pickling ships
+    the packed form. :func:`memory_image` reads the stored value without
+    building the list.
+    """
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return None  # the dataclass default
+        value = obj.__dict__.get("final_memory")
+        if type(value) is PackedImage:
+            value = obj.__dict__["final_memory"] = value.tolist()
+        return value
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__["final_memory"] = value
+
+
+def memory_image(result: "RunResult"):
+    """A result's final memory as stored: a packed image, a list (once
+    read or assigned as one), or None. Indexing and ``len`` work on all
+    but None."""
+    return result.__dict__.get("final_memory")
 
 
 @dataclass
@@ -105,7 +137,7 @@ class RunResult:
 
     # final state for the crash-consistency checker
     final_regs: list[int] = field(default_factory=list)
-    final_memory: list[int] | None = None
+    final_memory: list[int] | None = _FinalMemory()
 
     @property
     def ipc(self) -> float:

@@ -303,7 +303,7 @@ class System:
         if recorder is not None:
             recorder.finish(self, res)
         res.final_regs = core.arch_regs
-        res.final_memory = nvm.words
+        res.final_memory = nvm.image()
         return res
 
     # ------------------------------------------------------------------

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConsistencyError
 from repro.isa.program import Program
-from repro.sim.results import RunResult
+from repro.mem.nvm import PackedImage
+from repro.sim.results import RunResult, memory_image
 from repro.verify.oracle import OracleResult, run_oracle
 
 
@@ -49,15 +50,20 @@ def compare_states(result: RunResult, oracle: OracleResult,
                    max_report: int = 64) -> CheckReport:
     """Compare a run's final NVM/registers against the oracle."""
     divs: list[Divergence] = []
-    mem = result.final_memory
+    mem = memory_image(result)
     if mem is None:
         raise ConsistencyError("run result carries no final memory image")
     if len(mem) != len(oracle.memory):
         raise ConsistencyError(
             f"memory size mismatch: {len(mem)} vs {len(oracle.memory)}")
-    # the whole-image compare runs at C speed; only a mismatch pays for
-    # the word-by-word scan that reports where
-    if mem != oracle.memory:
+    # the whole-image compare runs at C speed (a packed image without
+    # building its list); only a mismatch pays for the word-by-word scan
+    # that reports where
+    if type(mem) is PackedImage:
+        same = mem.matches(oracle.memory)
+    else:
+        same = mem == oracle.memory.tolist()
+    if not same:
         for i, (got, want) in enumerate(zip(mem, oracle.memory)):
             if got != want:
                 divs.append(Divergence("memory", i * 4, want, got))

@@ -42,8 +42,11 @@ class Workload:
         return self._cache[scale]
 
 
-def verify_checks(program: Program, memory_words: list[int]) -> None:
+def verify_checks(program: Program, memory_words) -> None:
     """Validate a final memory image against the program's embedded checks.
+
+    ``memory_words`` is any word-indexable image: a list, an
+    ``array('I')``, or a run's packed image.
 
     Raises :class:`ConsistencyError` on the first mismatch; silent success
     otherwise.

@@ -227,6 +227,19 @@ def test_families_share_recording_and_skeleton():
     assert list(s1.cum_cycles) != list(s2.cum_cycles)
 
 
+def test_suite_grid_issued_twice_records_each_kernel_once():
+    """The stream cache holds a whole 23-kernel grid in both cost
+    families, so a figure bench's repeated ``run_grid`` calls replay."""
+    designs = ("NVSRAM(ideal)", "NVCache-WB")  # one per cost family
+    for _ in range(2):
+        run_grid(ALL_WORKLOADS, designs, "trace1", jobs=1, scale=0.05,
+                 batch=True)
+    stats = batch_stats()
+    assert stats["recordings"] == len(ALL_WORKLOADS)
+    assert stats["hits"] == 2 * len(ALL_WORKLOADS)
+    assert stats["replays"] == 4 * len(ALL_WORKLOADS)
+
+
 # ---------------------------------------------------------------------------
 # record-mode code cache
 # ---------------------------------------------------------------------------

@@ -639,7 +639,7 @@ class TestCacheCaps:
         try:
             core._DECODE_SHARED.clear()
             core._DECODE_STATS["evictions"] = 0
-            monkeypatch.setenv("REPRO_DECODE_CAP", "2")
+            monkeypatch.setattr(core, "_DECODE_SHARED_CAP", 2)
             costs = CycleCosts()
             for n in (11, 12, 13):
                 core.predecode(build_sum_program(n), costs)
